@@ -11,8 +11,6 @@ import (
 
 	"rtvirt/internal/cluster"
 	"rtvirt/internal/dist"
-	"rtvirt/internal/eventq"
-	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
 )
@@ -33,12 +31,10 @@ import (
 //     ShardedConfig.GlobalWindows compares against the PR-7 protocol on
 //     the identical world; BENCH_6's recorded window count is the
 //     historical reference for the same hosts/VMs/seconds configuration.
-//   - Determinism. Executor groups 1/2/4/8 on both event-queue backends
-//     (heap and timing wheel) must produce byte-identical cluster
-//     digests; the global-window run must match modulo the window count
-//     in the digest header. Any divergence fails the process.
+//   - Determinism. Executor groups 1/2/4/8 must produce byte-identical
+//     cluster digests; the global-window run must match modulo the window
+//     count in the digest header. Any divergence fails the process.
 type pdesGroupRow struct {
-	Backend      string  `json:"backend"`
 	Groups       int     `json:"groups"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	Speedup      float64 `json:"speedup_vs_groups1"`
@@ -172,10 +168,10 @@ func digestSansWindows(d string) string {
 	return strings.Join(kept, " ") + "\n" + rest
 }
 
-// runPDES sweeps executor group counts and event-queue backends over the
-// sharded cluster under per-edge window bounds, checks digest identity,
-// runs one global-window baseline for the window-count A/B, and writes
-// the report to outPath (BENCH_7.json by default).
+// runPDES sweeps executor group counts over the sharded cluster under
+// per-edge window bounds, checks digest identity, runs one global-window
+// baseline for the window-count A/B, and writes the report to outPath
+// (BENCH_7.json by default).
 func runPDES(outPath string, hosts int, seconds int64) {
 	if hosts < 3 {
 		log.Fatalf("pdes bench needs at least 3 hosts, got %d", hosts)
@@ -206,62 +202,54 @@ func runPDES(outPath string, hosts int, seconds int64) {
 			"exact world via ShardedConfig.GlobalWindows.",
 	}
 
-	prevBackend := sim.DefaultBackend
-	defer func() { sim.DefaultBackend = prevBackend }()
-
 	var baseDigest string
-	for _, backend := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		sim.DefaultBackend = backend
-		var baseWall float64
-		for _, groups := range []int{1, 2, 4, 8} {
-			c, clients := buildPDESBench(hosts, false)
-			first := baseDigest == ""
-			if first {
-				r.VMs = len(c.Deployments())
-				r.Clients = len(clients)
-				r.LookaheadUS = float64(c.Cfg.Lookahead) / float64(simtime.Microsecond)
-			}
-			c.Start()
-			start := time.Now()
-			c.Run(total, groups)
-			wall := time.Since(start).Seconds()
-			c.Finish()
-
-			digest := c.DigestString()
-			if first {
-				baseDigest = digest
-				r.Events = c.Set.EventsFired()
-				r.WindowsPerEdge = c.Set.Windows()
-				for _, cl := range clients {
-					r.Requests += uint64(cl.Sent())
-				}
-				for _, d := range c.Deployments() {
-					r.Migrations += d.Migrations
-				}
-			} else if digest != baseDigest {
-				r.DigestIdentical = false
-				fmt.Printf("  [%v] groups=%d DIGEST DIVERGED from the baseline run\n", backend, groups)
-			}
-			if groups == 1 {
-				baseWall = wall
-			}
-			row := pdesGroupRow{
-				Backend:      backend.String(),
-				Groups:       groups,
-				WallSeconds:  wall,
-				Speedup:      baseWall / wall,
-				EventsPerSec: float64(r.Events) / wall,
-			}
-			r.Groups = append(r.Groups, row)
-			fmt.Printf("  [%v] groups=%d  wall %7.3f s  speedup %4.2fx  %.2fM events/s\n",
-				backend, groups, row.WallSeconds, row.Speedup, row.EventsPerSec/1e6)
+	var baseWall float64
+	for _, groups := range []int{1, 2, 4, 8} {
+		c, clients := buildPDESBench(hosts, false)
+		first := baseDigest == ""
+		if first {
+			r.VMs = len(c.Deployments())
+			r.Clients = len(clients)
+			r.LookaheadUS = float64(c.Cfg.Lookahead) / float64(simtime.Microsecond)
 		}
+		c.Start()
+		start := time.Now()
+		c.Run(total, groups)
+		wall := time.Since(start).Seconds()
+		c.Finish()
+
+		digest := c.DigestString()
+		if first {
+			baseDigest = digest
+			r.Events = c.Set.EventsFired()
+			r.WindowsPerEdge = c.Set.Windows()
+			for _, cl := range clients {
+				r.Requests += uint64(cl.Sent())
+			}
+			for _, d := range c.Deployments() {
+				r.Migrations += d.Migrations
+			}
+		} else if digest != baseDigest {
+			r.DigestIdentical = false
+			fmt.Printf("  groups=%d DIGEST DIVERGED from the baseline run\n", groups)
+		}
+		if groups == 1 {
+			baseWall = wall
+		}
+		row := pdesGroupRow{
+			Groups:       groups,
+			WallSeconds:  wall,
+			Speedup:      baseWall / wall,
+			EventsPerSec: float64(r.Events) / wall,
+		}
+		r.Groups = append(r.Groups, row)
+		fmt.Printf("  groups=%d  wall %7.3f s  speedup %4.2fx  %.2fM events/s\n",
+			groups, row.WallSeconds, row.Speedup, row.EventsPerSec/1e6)
 	}
 
 	// The A/B leg: the same world advanced under the PR-7 protocol (one
 	// global lookahead bounds every window). Observable state must match
 	// the per-edge runs bit-for-bit; only the window count may differ.
-	sim.DefaultBackend = eventq.BackendHeap
 	gc, _ := buildPDESBench(hosts, true)
 	gc.Start()
 	gc.Run(total, 1)

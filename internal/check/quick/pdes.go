@@ -148,7 +148,6 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 
 // pdesIdentity runs sc's sharded replica under every group count in
 // shards and reports a violation if any digest differs from the first.
-// The caller pins the event-queue backend.
 func pdesIdentity(sc scenario.Scenario, seed uint64, shards []int) (*check.Violation, error) {
 	total := simtime.Duration(sc.Seconds) * simtime.Second
 	run := func(groups int) (string, error) {

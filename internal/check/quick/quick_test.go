@@ -48,10 +48,10 @@ func TestGenerateAlwaysValid(t *testing.T) {
 // handful of generated worlds across all four stacks must produce zero
 // invariant violations. Any failure prints its minimized reproducer JSON.
 func TestQuickPropertyBounded(t *testing.T) {
-	rep := Run(Config{Seed: 1, N: 6, Backends: AllBackends})
+	rep := Run(Config{Seed: 1, N: 6})
 	reportFailures(t, rep)
-	// All four stacks plus the sharded-PDES identity probe, per backend.
-	want := rep.Cases*len(AllStacks)*len(AllBackends) + rep.Cases*len(AllBackends)
+	// All four stacks plus the sharded-PDES identity probe.
+	want := rep.Cases*len(AllStacks) + rep.Cases
 	if rep.Runs != want {
 		t.Fatalf("expected %d runs, got %d", want, rep.Runs)
 	}

@@ -10,22 +10,15 @@ import (
 // output is deterministic for a fixed Config (goldens pin it).
 func (r *Report) Render() string {
 	var b strings.Builder
-	backends := r.Backends
-	if backends <= 0 {
-		backends = 1
-	}
 	pdesRuns := 0
 	if r.PDES > 1 {
-		pdesRuns = r.Cases * backends
+		pdesRuns = r.Cases
 	}
 	stacks := r.Runs
 	if r.Cases > 0 {
-		stacks = (r.Runs - pdesRuns) / (r.Cases * backends)
+		stacks = (r.Runs - pdesRuns) / r.Cases
 	}
 	fmt.Fprintf(&b, "quickcheck: %d cases x %d stacks", r.Cases, stacks)
-	if backends > 1 {
-		fmt.Fprintf(&b, " x %d queue backends", backends)
-	}
 	if r.PDES > 1 {
 		fmt.Fprintf(&b, " + pdes identity x %d group counts", r.PDES)
 	}
@@ -38,12 +31,8 @@ func (r *Report) Render() string {
 	}
 	fmt.Fprintf(&b, "FAIL: %d violating run(s)\n", len(r.Failures))
 	for i, f := range r.Failures {
-		where := f.Stack
-		if f.Backend != "" {
-			where += "/" + f.Backend
-		}
 		fmt.Fprintf(&b, "[%d] case %d under %s: %d violation(s), shrunk in %d step(s) over %d run(s)\n",
-			i, f.Case, where, len(f.Violations), f.ShrinkSteps, f.ShrinkRuns)
+			i, f.Case, f.Stack, len(f.Violations), f.ShrinkSteps, f.ShrinkRuns)
 		for _, v := range f.Violations {
 			fmt.Fprintf(&b, "    %v\n", v)
 		}

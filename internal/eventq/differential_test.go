@@ -77,34 +77,28 @@ func (m *refModel) fire() (int, bool) {
 	return id, true
 }
 
-// backendsUnderTest enumerates both queue backends for parameterized tests.
-var backendsUnderTest = []Backend{BackendHeap, BackendWheel}
-
 // TestDifferentialAgainstReferenceModel drives ~1e5 random
 // schedule/cancel/reschedule/fire operations through the intrusive 4-ary
-// heap, the hierarchical timing wheel, and the sorted-slice reference model
-// in lockstep — the same op stream hits all three — checking Len, PeekTime,
-// and every fired event id after each operation. The cancel/reschedule mix
-// exercises the heap's tombstone/compaction machinery and the wheel's eager
-// removal from all three containers (run, slot chains, overflow heap).
-// Seeds are logged so a failure reproduces with a one-line change.
+// heap and the sorted-slice reference model in lockstep, checking Len,
+// PeekTime, and every fired event id after each operation. The
+// cancel/reschedule mix exercises the heap's tombstone/compaction
+// machinery. Seeds are logged so a failure reproduces with a one-line
+// change.
 func TestDifferentialAgainstReferenceModel(t *testing.T) {
 	seeds := []int64{1, 7, 42, 20260806}
 	for _, seed := range seeds {
 		t.Logf("differential seed %d", seed)
 		rng := rand.New(rand.NewSource(seed))
-		var heap, wheel Queue
-		wheel.SetBackend(BackendWheel)
-		qs := []*Queue{&heap, &wheel}
+		var q Queue
 		var m refModel
 
 		type liveEvent struct {
-			h  [2]Handle // one per queue, same order as qs
+			h  Handle
 			id int
 		}
 		var live []liveEvent
 		nextID := 0
-		fired := [2]int{-1, -1}
+		fired := -1
 		const ops = 100_000
 		randTime := func() simtime.Time { return simtime.Time(rng.Int63n(1 << 20)) }
 
@@ -114,39 +108,27 @@ func TestDifferentialAgainstReferenceModel(t *testing.T) {
 				id := nextID
 				nextID++
 				at := randTime()
-				var le liveEvent
-				le.id = id
-				for qi, q := range qs {
-					qi := qi
-					le.h[qi] = q.Schedule(at, func(simtime.Time) { fired[qi] = id })
-				}
+				h := q.Schedule(at, func(simtime.Time) { fired = id })
 				m.schedule(at, id)
-				live = append(live, le)
+				live = append(live, liveEvent{h: h, id: id})
 			case r < 6: // cancel
 				i := rng.Intn(len(live))
-				for qi, q := range qs {
-					q.Cancel(live[i].h[qi])
-				}
+				q.Cancel(live[i].h)
 				m.cancel(live[i].id)
 				live = append(live[:i], live[i+1:]...)
 			case r < 8: // reschedule an active handle in place
 				i := rng.Intn(len(live))
 				at := randTime()
-				for qi, q := range qs {
-					live[i].h[qi] = q.Reschedule(live[i].h[qi], at)
-				}
+				live[i].h = q.Reschedule(live[i].h, at)
 				m.reschedule(live[i].id, at)
 			default: // fire
-				fired = [2]int{-1, -1}
+				fired = -1
 				want, ok := m.fire()
-				for qi, q := range qs {
-					got := q.Fire()
-					if got != ok {
-						t.Fatalf("seed %d op %d [%v]: Fire = %v, model %v", seed, op, q.Backend(), got, ok)
-					}
-					if ok && fired[qi] != want {
-						t.Fatalf("seed %d op %d [%v]: fired id %d, model %d", seed, op, q.Backend(), fired[qi], want)
-					}
+				if got := q.Fire(); got != ok {
+					t.Fatalf("seed %d op %d: Fire = %v, model %v", seed, op, got, ok)
+				}
+				if ok && fired != want {
+					t.Fatalf("seed %d op %d: fired id %d, model %d", seed, op, fired, want)
 				}
 				if ok {
 					for i := range live {
@@ -157,74 +139,65 @@ func TestDifferentialAgainstReferenceModel(t *testing.T) {
 					}
 				}
 			}
-			for _, q := range qs {
-				if q.Len() != len(m.pending) {
-					t.Fatalf("seed %d op %d [%v]: Len = %d, model %d", seed, op, q.Backend(), q.Len(), len(m.pending))
-				}
-				if q.PeekTime() != m.peek() {
-					t.Fatalf("seed %d op %d [%v]: PeekTime = %v, model %v", seed, op, q.Backend(), q.PeekTime(), m.peek())
-				}
+			if q.Len() != len(m.pending) {
+				t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, q.Len(), len(m.pending))
+			}
+			if q.PeekTime() != m.peek() {
+				t.Fatalf("seed %d op %d: PeekTime = %v, model %v", seed, op, q.PeekTime(), m.peek())
 			}
 		}
 		// Drain and compare the tail ordering.
 		for {
-			fired = [2]int{-1, -1}
+			fired = -1
 			want, ok := m.fire()
-			for qi, q := range qs {
-				got := q.Fire()
-				if got != ok {
-					t.Fatalf("seed %d drain [%v]: Fire = %v, model %v", seed, q.Backend(), got, ok)
-				}
-				if ok && fired[qi] != want {
-					t.Fatalf("seed %d drain [%v]: fired id %d, model %d", seed, q.Backend(), fired[qi], want)
-				}
+			if got := q.Fire(); got != ok {
+				t.Fatalf("seed %d drain: Fire = %v, model %v", seed, got, ok)
+			}
+			if ok && fired != want {
+				t.Fatalf("seed %d drain: fired id %d, model %d", seed, fired, want)
 			}
 			if !ok {
 				break
 			}
 		}
-		for _, q := range qs {
-			if q.Len() != 0 {
-				t.Fatalf("seed %d [%v]: Len after drain = %d", seed, q.Backend(), q.Len())
-			}
+		if q.Len() != 0 {
+			t.Fatalf("seed %d: Len after drain = %d", seed, q.Len())
 		}
 	}
 }
 
 // TestSteadyStateZeroAlloc locks the zero-allocation property of the
-// steady-state kernel path on both backends: a standing event being
-// rescheduled plus a schedule→fire stream must not allocate once the pools
-// (and, for the wheel, the run/overflow backing arrays) are warm.
+// steady-state kernel path: a standing event being rescheduled plus a
+// schedule→fire stream must not allocate once the free list and the heap's
+// backing array are warm.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	for _, b := range backendsUnderTest {
-		t.Run(b.String(), func(t *testing.T) {
-			var q Queue
-			q.SetBackend(b)
-			nop := func(simtime.Time) {}
-			standing := make([]Handle, 64)
-			for i := range standing {
-				standing[i] = q.Schedule(simtime.Time(1_000_000+i), nop)
-			}
-			// Warm the free list and the containers' backing arrays.
-			for i := 0; i < 1024; i++ {
-				q.Schedule(simtime.Time(i), nop)
-			}
-			for q.Len() > len(standing) {
-				q.Fire()
-			}
-			now := simtime.Time(0)
-			i := 0
-			allocs := testing.AllocsPerRun(1000, func() {
-				k := i % len(standing)
-				standing[k] = q.Reschedule(standing[k], now+1_000_000)
-				q.Schedule(now+1, nop)
-				q.Fire()
-				now++
-				i++
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state schedule→fire→reschedule allocates %.1f/op, want 0", allocs)
-			}
+	// The subtest is named for the queue implementation under test.
+	t.Run("heap", func(t *testing.T) {
+		var q Queue
+		nop := func(simtime.Time) {}
+		standing := make([]Handle, 64)
+		for i := range standing {
+			standing[i] = q.Schedule(simtime.Time(1_000_000+i), nop)
+		}
+		// Warm the free list and the heap's backing array.
+		for i := 0; i < 1024; i++ {
+			q.Schedule(simtime.Time(i), nop)
+		}
+		for q.Len() > len(standing) {
+			q.Fire()
+		}
+		now := simtime.Time(0)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			k := i % len(standing)
+			standing[k] = q.Reschedule(standing[k], now+1_000_000)
+			q.Schedule(now+1, nop)
+			q.Fire()
+			now++
+			i++
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("steady-state schedule→fire→reschedule allocates %.1f/op, want 0", allocs)
+		}
+	})
 }

@@ -68,16 +68,9 @@ type Event struct {
 	gen uint64 // bumped on every recycle; validates Handles
 	fn  func(now simtime.Time)
 	p   Payload // typed form; used when fn is nil
-	// idx is the record's position inside its current container: the heap
-	// slot (heap backend), or the run/overflow-heap index or packed
-	// level·64+slot (wheel backend). -1 when not queued.
+	// idx is the record's heap slot; -1 when not queued.
 	idx   int32
 	state byte
-	// where names the wheel container holding the record (whRun/whSlot/
-	// whOver); always whNone under the heap backend.
-	where byte
-	// next/prev link the record into its wheel slot's doubly-linked chain.
-	next, prev *Event
 }
 
 // Handle identifies one scheduled event. The zero Handle is valid and
@@ -122,33 +115,10 @@ type Queue struct {
 	free []*Event // recycled records, bounded by peak live events
 	seq  uint64
 	live int // pending (non-tombstone) events
-
-	// backend selects the data structure behind the queue; the zero value
-	// is the heap, so existing zero-value Queues are unchanged.
-	backend Backend
-	// w holds the timing-wheel state; allocated lazily by SetBackend so a
-	// heap-backed Queue stays small.
-	w *wheel
 }
 
 // Len reports the number of live events in the queue.
 func (q *Queue) Len() int { return q.live }
-
-// SetBackend selects the queue's data structure. It must be called before
-// any event is scheduled; re-filing a populated queue is never needed (the
-// owner picks a backend at construction), so a non-empty queue panics.
-func (q *Queue) SetBackend(b Backend) {
-	if q.live != 0 || len(q.h) != 0 {
-		panic("eventq: SetBackend on a non-empty queue")
-	}
-	q.backend = b
-	if b == BackendWheel && q.w == nil {
-		q.w = &wheel{}
-	}
-}
-
-// Backend reports which data structure backs the queue.
-func (q *Queue) Backend() Backend { return q.backend }
 
 // less orders events by (time, insertion sequence).
 func less(a, b *Event) bool {
@@ -193,10 +163,6 @@ func (q *Queue) insert(at simtime.Time) *Event {
 	e.at, e.seq, e.state = at, q.seq, statePending
 	q.seq++
 	q.live++
-	if q.backend == BackendWheel {
-		q.wheelPlace(e)
-		return e
-	}
 	q.h = append(q.h, e)
 	q.siftUp(len(q.h) - 1)
 	// Tombstones accumulate without any Cancel running when fires shrink
@@ -214,15 +180,6 @@ func (q *Queue) Cancel(h Handle) {
 		return
 	}
 	e := h.e
-	if q.backend == BackendWheel {
-		// The wheel's containers all support cheap eager removal (an O(1)
-		// chain unlink in the common slot case), so there are no tombstones:
-		// the record is detached and recycled on the spot.
-		q.wheelDetach(e)
-		q.live--
-		q.recycle(e)
-		return
-	}
 	e.state = stateTombstone
 	e.fn = nil
 	q.live--
@@ -255,13 +212,6 @@ func (q *Queue) Reschedule(h Handle, at simtime.Time) Handle {
 	e.at = at
 	e.seq = q.seq
 	q.seq++
-	if q.backend == BackendWheel {
-		// Detach + re-file: both ends are O(1) for the slot-resident standing
-		// timers that dominate the kernel's reschedule traffic.
-		q.wheelDetach(e)
-		q.wheelPlace(e)
-		return Handle{e: e, gen: e.gen}
-	}
 	i := int(e.idx)
 	q.siftUp(i)
 	if int(e.idx) == i {
@@ -273,16 +223,8 @@ func (q *Queue) Reschedule(h Handle, at simtime.Time) Handle {
 }
 
 // PeekTime reports the firing time of the earliest live event, or
-// simtime.Never when the queue is empty. O(1) on the heap backend (the
-// root is always live); on the wheel it may advance the cursor, but that
-// work is the same batch transfer the next Fire would have paid.
+// simtime.Never when the queue is empty. O(1): the root is always live.
 func (q *Queue) PeekTime() simtime.Time {
-	if q.backend == BackendWheel {
-		if !q.wheelFront() {
-			return simtime.Never
-		}
-		return q.w.run[len(q.w.run)-1].at
-	}
 	if len(q.h) == 0 {
 		return simtime.Never
 	}
@@ -297,9 +239,6 @@ func (q *Queue) PeekTime() simtime.Time {
 // is a single heap descent (plus one per tombstone that the descent
 // surfaces, which is the work that removes it).
 func (q *Queue) Fire() bool {
-	if q.backend == BackendWheel {
-		return q.wheelFire()
-	}
 	if len(q.h) == 0 {
 		return false
 	}
@@ -430,8 +369,6 @@ func (q *Queue) recycle(e *Event) {
 	e.p = Payload{}
 	e.state = stateFree
 	e.idx = -1
-	e.where = whNone
-	e.next, e.prev = nil, nil
 	q.free = append(q.free, e)
 }
 
@@ -448,9 +385,6 @@ func (q *Queue) recycle(e *Event) {
 // still carries a closure: a closure captures pointers into the old world,
 // so copying it would make the fork mutate its parent.
 func (q *Queue) CloneInto(dst *Queue, ctx *clone.Ctx) error {
-	if q.backend == BackendWheel {
-		return q.cloneWheelInto(dst, ctx)
-	}
 	closures := 0
 	dst.h = make([]*Event, 0, q.live)
 	for _, e := range q.h {

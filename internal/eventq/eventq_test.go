@@ -472,24 +472,14 @@ func BenchmarkScheduleFire(b *testing.B) {
 	}
 }
 
-// benchBackends runs fn once per event-queue backend as a sub-benchmark,
-// so every kernel mix reports a heap-versus-wheel comparison side by side.
-func benchBackends(b *testing.B, fn func(b *testing.B, bk Backend)) {
-	for _, bk := range []Backend{BackendHeap, BackendWheel} {
-		b.Run(bk.String(), func(b *testing.B) { fn(b, bk) })
-	}
-}
-
-// runKernelMix is the headline kernel blend: per event fired, one standing
+// BenchmarkKernelMix is the headline kernel blend: per event fired, one standing
 // per-PCPU timer moves (Reschedule), one fresh event is admitted
 // (Schedule), and the head pops (Fire) — over a population of 256 standing
 // handles. BENCH_3.json records this mix before and after the
 // intrusive-heap rewrite (the pre-rewrite implementation ran the blend as
-// Cancel+Schedule because it had no in-place reschedule); BENCH_5.json
-// adds the wheel backend.
-func runKernelMix(b *testing.B, bk Backend) {
+// Cancel+Schedule because it had no in-place reschedule).
+func BenchmarkKernelMix(b *testing.B) {
 	var q Queue
-	q.SetBackend(bk)
 	nop := func(simtime.Time) {}
 	rng := rand.New(rand.NewSource(1))
 	standing := make([]Handle, 256)
@@ -508,16 +498,11 @@ func runKernelMix(b *testing.B, bk Backend) {
 	}
 }
 
-func BenchmarkKernelMix(b *testing.B) { benchBackends(b, runKernelMix) }
-
-// runKernelMixTimer is the timer-heavy variant: four standing timers move
+// BenchmarkKernelMixTimer is the timer-heavy variant: four standing timers move
 // per fresh admission and fire, the shape of a multi-PCPU host where every
-// dispatch re-arms Kick and VCPURecheck events on several PCPUs. Standing
-// timers are the wheel's ideal client — a reschedule is an unlink and a
-// relink into a nearby slot, no sift.
-func runKernelMixTimer(b *testing.B, bk Backend) {
+// dispatch re-arms Kick and VCPURecheck events on several PCPUs.
+func BenchmarkKernelMixTimer(b *testing.B) {
 	var q Queue
-	q.SetBackend(bk)
 	nop := func(simtime.Time) {}
 	rng := rand.New(rand.NewSource(2))
 	standing := make([]Handle, 256)
@@ -538,16 +523,13 @@ func runKernelMixTimer(b *testing.B, bk Backend) {
 	}
 }
 
-func BenchmarkKernelMixTimer(b *testing.B) { benchBackends(b, runKernelMixTimer) }
-
-// runKernelMixChurn is the churn-heavy variant: short-lived events are
+// BenchmarkKernelMixChurn is the churn-heavy variant: short-lived events are
 // admitted, sometimes cancelled, and popped in quick succession — the
 // shape of a job-arrival burst where wakeups are created and consumed
 // faster than any standing timer moves. This stresses the insert/remove
-// paths (heap sift, wheel slot chains) rather than reschedule.
-func runKernelMixChurn(b *testing.B, bk Backend) {
+// paths rather than reschedule.
+func BenchmarkKernelMixChurn(b *testing.B) {
 	var q Queue
-	q.SetBackend(bk)
 	nop := func(simtime.Time) {}
 	rng := rand.New(rand.NewSource(3))
 	var pending [64]Handle
@@ -567,8 +549,6 @@ func runKernelMixChurn(b *testing.B, bk Backend) {
 	for q.Fire() {
 	}
 }
-
-func BenchmarkKernelMixChurn(b *testing.B) { benchBackends(b, runKernelMixChurn) }
 
 // BenchmarkCancelReschedule measures the hv.setEvent hot pattern: cancel a
 // pending wakeup and schedule a new one. The seed implementation paid a

@@ -11,9 +11,9 @@ import (
 // execute the same round function, released and re-joined by a
 // sense-reversing barrier. It is the executor under the sharded (PDES)
 // simulation's conservative window loop, which issues hundreds of
-// thousands of very small rounds: unlike Pool.Do there is no per-round
-// channel send, no per-round closure, and no sync.WaitGroup churn — one
-// atomic sense flip releases every worker, one atomic counter joins them.
+// thousands of very small rounds: there is no per-round channel send, no
+// per-round closure, and no sync.WaitGroup churn — one atomic sense flip
+// releases every worker, one atomic counter joins them.
 //
 // The coordinator publishes the round's inputs in plain memory before
 // calling Round and reads the results after it returns; the barrier's
@@ -45,6 +45,12 @@ type BarrierPool struct {
 	panics []poolPanic
 
 	wg sync.WaitGroup
+}
+
+// poolPanic records one worker's recovered panic for Round to re-raise.
+type poolPanic struct {
+	worker int
+	value  any
 }
 
 // barrierSpin bounds the busy-wait at each barrier edge before a

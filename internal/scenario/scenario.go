@@ -65,7 +65,7 @@ type CostsSpec struct {
 	SchedulePerEntity *CostSpec `json:"schedule_per_entity,omitempty"`
 	GuestSwitch       *CostSpec `json:"guest_switch,omitempty"`
 	// Tick is the periodic accounting-tick cost charged by tick-driven
-	// schedulers (Credit); it replaces credit.Config.TickCost.
+	// schedulers (Credit).
 	Tick *CostSpec `json:"tick,omitempty"`
 
 	// NetworkDelayUS overrides the client→server network delay applied to
@@ -368,6 +368,15 @@ func (sc Scenario) Validate() error {
 		if vm.WorkingSetMiB < 0 {
 			return fmt.Errorf("scenario: VM %q has negative working_set_mib", vm.Name)
 		}
+		// Zero stays legal: Credit reads a zero budget as "uncapped".
+		for i, s := range vm.Servers {
+			if s.BudgetUS < 0 {
+				return fmt.Errorf("scenario: VM %q servers[%d] has negative budget_us (%d)", vm.Name, i, s.BudgetUS)
+			}
+			if s.PeriodUS < 0 {
+				return fmt.Errorf("scenario: VM %q servers[%d] has negative period_us (%d)", vm.Name, i, s.PeriodUS)
+			}
+		}
 		if vm.MaxVCPUs != 0 && vm.MaxVCPUs < vm.VCPUs {
 			return fmt.Errorf("scenario: VM %q max_vcpus %d below vcpus %d",
 				vm.Name, vm.MaxVCPUs, vm.VCPUs)
@@ -375,6 +384,9 @@ func (sc Scenario) Validate() error {
 		for _, ts := range vm.Tasks {
 			if ts.Priority < 0 {
 				return fmt.Errorf("scenario: task %q has negative priority", ts.Name)
+			}
+			if ts.PhaseMS < 0 {
+				return fmt.Errorf("scenario: task %q has negative phase_ms (%d)", ts.Name, ts.PhaseMS)
 			}
 			switch ts.Kind {
 			case "", "periodic", "sporadic":

@@ -90,27 +90,35 @@ func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
 		json string
+		// field, when set, must appear in the validation error.
+		field string
 	}{
-		{"no VMs", `{"stack": "rtvirt"}`},
-		{"bad stack", `{"stack": "vmware", "vms": [{"name": "a"}]}`},
-		{"anonymous VM", `{"vms": [{"vcpus": 1}]}`},
-		{"bad kind", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "spooky"}]}]}`},
-		{"bad params", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 10, "period_us": 5}]}]}`},
-		{"zero slice", `{"vms": [{"name": "a", "tasks": [{"name": "t", "period_us": 5}]}]}`},
-		{"bad guest sched", `{"vms": [{"name": "a", "guest_sched": "cfs"}]}`},
-		{"negative slack", `{"vms": [{"name": "a", "slack_us": -1}]}`},
-		{"hotplug below vcpus", `{"vms": [{"name": "a", "vcpus": 4, "max_vcpus": 2}]}`},
-		{"negative priority", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "priority": -2}]}]}`},
-		{"negative cost", `{"costs": {"context_switch_us": -1}, "vms": [{"name": "a"}]}`},
-		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`},
+		{"no VMs", `{"stack": "rtvirt"}`, ""},
+		{"bad stack", `{"stack": "vmware", "vms": [{"name": "a"}]}`, ""},
+		{"anonymous VM", `{"vms": [{"vcpus": 1}]}`, ""},
+		{"bad kind", `{"vms": [{"name": "a", "tasks": [{"name": "t", "kind": "spooky"}]}]}`, ""},
+		{"bad params", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 10, "period_us": 5}]}]}`, ""},
+		{"zero slice", `{"vms": [{"name": "a", "tasks": [{"name": "t", "period_us": 5}]}]}`, ""},
+		{"bad guest sched", `{"vms": [{"name": "a", "guest_sched": "cfs"}]}`, ""},
+		{"negative slack", `{"vms": [{"name": "a", "slack_us": -1}]}`, ""},
+		{"hotplug below vcpus", `{"vms": [{"name": "a", "vcpus": 4, "max_vcpus": 2}]}`, ""},
+		{"negative priority", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "priority": -2}]}]}`, ""},
+		{"negative cost", `{"costs": {"context_switch_us": -1}, "vms": [{"name": "a"}]}`, ""},
+		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`, ""},
+		{"negative phase", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "phase_ms": -5}]}]}`, "phase_ms"},
+		{"negative server budget", `{"stack": "rt-xen", "vms": [{"name": "a", "servers": [{"budget_us": -1, "period_us": 10000}]}]}`, "budget_us"},
+		{"negative server period", `{"stack": "rt-xen", "vms": [{"name": "a", "servers": [{"budget_us": 1000, "period_us": -10000}]}]}`, "period_us"},
 	}
 	for _, c := range cases {
 		sc, err := Parse(strings.NewReader(c.json))
 		if err != nil {
 			continue // parse-level rejection also counts
 		}
-		if err := sc.Validate(); err == nil {
+		err = sc.Validate()
+		if err == nil {
 			t.Errorf("%s: validated", c.name)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
 		}
 	}
 }

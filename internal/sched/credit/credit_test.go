@@ -39,9 +39,7 @@ func startHog(s *sim.Simulator, g *guest.OS, tk *task.Task) {
 }
 
 func TestProportionalShareByWeight(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TickCost = 0
-	s, h := newRig(t, 1, cfg)
+	s, h := newRig(t, 1, DefaultConfig())
 	gA := newVM(t, h, "heavy", 512)
 	gB := newVM(t, h, "light", 256)
 	hogA := task.NewBackground(0, "a")
@@ -73,7 +71,6 @@ func TestBoostGivesLowWakeLatency(t *testing.T) {
 	// A mostly-idle latency-sensitive VM against one CPU hog: the BOOST
 	// path must deliver sub-timeslice wake latency.
 	cfg := DefaultConfig()
-	cfg.TickCost = 0
 	s, h := newRig(t, 1, cfg)
 	gL := newVM(t, h, "latency", 256)
 	gH := newVM(t, h, "hog", 256)
@@ -102,7 +99,6 @@ func TestBoostGivesLowWakeLatency(t *testing.T) {
 
 func TestRatelimitDefersPreemption(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.TickCost = 0
 	cfg.Ratelimit = ms(1)
 	s, h := newRig(t, 1, cfg)
 	gL := newVM(t, h, "latency", 256)
@@ -141,7 +137,6 @@ func TestOverStateStarvesTail(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Timeslice = ms(1)
 	cfg.Ratelimit = simtime.Micros(500)
-	cfg.TickCost = 0
 	s, h := newRig(t, 1, cfg)
 	gL := newVM(t, h, "mc", 256)
 	srv := task.New(0, "srv", task.Sporadic, task.Params{Slice: ms(2), Period: ms(100)})
@@ -177,9 +172,8 @@ func TestOverStateStarvesTail(t *testing.T) {
 }
 
 func TestTickCostCharged(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TickCost = simtime.Micros(20)
-	s, h := newRig(t, 1, cfg)
+	s := sim.New(9)
+	h := hv.NewHost(s, 1, New(DefaultConfig()), hv.CostModel{Tick: hv.ConstCost(simtime.Micros(20))})
 	g := newVM(t, h, "busy", 256)
 	hog := task.NewBackground(0, "hog")
 	if err := g.Register(hog); err != nil {
@@ -207,9 +201,7 @@ func TestAdmitRejectsZeroWeight(t *testing.T) {
 }
 
 func TestWorkConservingAcrossPCPUs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TickCost = 0
-	s, h := newRig(t, 2, cfg)
+	s, h := newRig(t, 2, DefaultConfig())
 	var guests []*guest.OS
 	for i := 0; i < 2; i++ {
 		g := newVM(t, h, fmt.Sprintf("vm%d", i), 256)

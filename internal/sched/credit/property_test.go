@@ -19,7 +19,6 @@ func TestQuickCapEnforcement(t *testing.T) {
 		capPct := 10 + rng.Int63n(60) // 10–70%
 		s := sim.New(seed)
 		cfg := DefaultConfig()
-		cfg.TickCost = 0
 		h := hv.NewHost(s, 1, New(cfg), hv.CostModel{})
 		gc := guest.Config{CrossLayer: false, VCPUCapacity: 1e9}
 		g, err := guest.NewOS(h, "capped", gc, 0)
@@ -60,7 +59,6 @@ func TestQuickWeightProportionality(t *testing.T) {
 		wB := 100 + rng.Intn(900)
 		s := sim.New(seed)
 		cfg := DefaultConfig()
-		cfg.TickCost = 0
 		h := hv.NewHost(s, 1, New(cfg), hv.CostModel{})
 		mk := func(name string, w int) *guest.OS {
 			gc := guest.Config{CrossLayer: false, VCPUCapacity: 1e9}

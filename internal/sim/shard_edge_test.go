@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rtvirt/internal/clone"
-	"rtvirt/internal/eventq"
 	"rtvirt/internal/simtime"
 )
 
@@ -20,8 +19,8 @@ func pingEdgeLookahead(from, to int) simtime.Duration {
 // matrix declared, switching the set to explicit topology. The pinger
 // derives its post delay from EdgeLookahead, so the same handler drives
 // both topologies.
-func buildPingWorldEdges(seed uint64, shards int, backend eventq.Backend) *pingWorld {
-	w := buildPingWorld(seed, shards, backend)
+func buildPingWorldEdges(seed uint64, shards int) *pingWorld {
+	w := buildPingWorld(seed, shards)
 	for from := 0; from < shards; from++ {
 		for to := 0; to < shards; to++ {
 			if from != to {
@@ -244,25 +243,22 @@ func TestShardChainPerEdgeWindows(t *testing.T) {
 }
 
 // TestShardSetGroupInvarianceHeterogeneousEdges re-pins the determinism
-// golden with a full matrix of unequal per-edge lookaheads, on both
-// event-queue backends.
+// golden with a full matrix of unequal per-edge lookaheads.
 func TestShardSetGroupInvarianceHeterogeneousEdges(t *testing.T) {
-	for _, backend := range []eventq.Backend{eventq.BackendHeap, eventq.BackendWheel} {
-		ref := buildPingWorldEdges(7, 8, backend)
-		ref.set.RunUntil(simtime.Time(simtime.Millis(20)), 1)
-		want := ref.digest()
-		if ref.set.Windows() == 0 || ref.set.EventsFired() == 0 {
-			t.Fatalf("[%v] degenerate reference run: %d windows, %d events", backend, ref.set.Windows(), ref.set.EventsFired())
+	ref := buildPingWorldEdges(7, 8)
+	ref.set.RunUntil(simtime.Time(simtime.Millis(20)), 1)
+	want := ref.digest()
+	if ref.set.Windows() == 0 || ref.set.EventsFired() == 0 {
+		t.Fatalf("degenerate reference run: %d windows, %d events", ref.set.Windows(), ref.set.EventsFired())
+	}
+	for _, groups := range []int{2, 3, 4, 8} {
+		w := buildPingWorldEdges(7, 8)
+		w.set.RunUntil(simtime.Time(simtime.Millis(20)), groups)
+		if got := w.digest(); !equalU64(got, want) {
+			t.Errorf("groups=%d diverged from sequential: got %v want %v", groups, got, want)
 		}
-		for _, groups := range []int{2, 3, 4, 8} {
-			w := buildPingWorldEdges(7, 8, backend)
-			w.set.RunUntil(simtime.Time(simtime.Millis(20)), groups)
-			if got := w.digest(); !equalU64(got, want) {
-				t.Errorf("[%v] groups=%d diverged from sequential: got %v want %v", backend, groups, got, want)
-			}
-			if w.set.Windows() != ref.set.Windows() {
-				t.Errorf("[%v] groups=%d window count %d != sequential %d", backend, groups, w.set.Windows(), ref.set.Windows())
-			}
+		if w.set.Windows() != ref.set.Windows() {
+			t.Errorf("groups=%d window count %d != sequential %d", groups, w.set.Windows(), ref.set.Windows())
 		}
 	}
 }
@@ -271,7 +267,7 @@ func TestShardSetGroupInvarianceHeterogeneousEdges(t *testing.T) {
 // a message in an outbox — and checks the edge matrix and all traffic
 // survive into the twin.
 func TestShardSetForkPerEdge(t *testing.T) {
-	w := buildPingWorldEdges(11, 4, eventq.BackendHeap)
+	w := buildPingWorldEdges(11, 4)
 	w.set.RunUntil(simtime.Time(simtime.Millis(5)), 2)
 
 	shards := w.set.Shards()

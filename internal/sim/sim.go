@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 
 	"rtvirt/internal/eventq"
 	"rtvirt/internal/simtime"
@@ -26,42 +25,18 @@ type Simulator struct {
 	handlers []Handler
 }
 
-// DefaultBackend is the event-queue backend New uses. It initializes from
-// the RTVIRT_EVENTQ environment variable ("heap" or "wheel", default heap)
-// so a whole test run can be pointed at either backend without touching
-// call sites; harnesses that sweep both backends (internal/check/quick,
-// the golden tests) set it — or call NewWithBackend — per run.
-var DefaultBackend = EnvBackend()
-
-// EnvBackend re-reads RTVIRT_EVENTQ and resolves it through
-// eventq.ParseBackend. An unknown name panics loudly — a typo must never
-// silently run the whole suite on the heap default.
-func EnvBackend() eventq.Backend {
-	b, err := eventq.ParseBackend(os.Getenv("RTVIRT_EVENTQ"))
-	if err != nil {
-		panic(fmt.Sprintf("sim: RTVIRT_EVENTQ: %v", err))
-	}
-	return b
-}
+// DefaultBackend names the simulator's only event queue, the intrusive
+// 4-ary heap of internal/eventq. It selects nothing; it exists so the
+// benchmark header can keep recording which queue a run used.
+const DefaultBackend = "heap"
 
 // New returns a Simulator whose clock starts at 0 and whose random source
-// is seeded with seed (same seed ⇒ identical run). The event queue uses
-// DefaultBackend; runs are bit-identical across backends either way.
+// is seeded with seed (same seed ⇒ identical run).
 func New(seed uint64) *Simulator {
-	return NewWithBackend(seed, DefaultBackend)
-}
-
-// NewWithBackend returns a Simulator with an explicitly pinned event-queue
-// backend, for harnesses that must cover both.
-func NewWithBackend(seed uint64, b eventq.Backend) *Simulator {
 	s := &Simulator{rng: NewRNG(seed), seed: seed}
-	s.q.SetBackend(b)
 	s.q.Dispatch = s.dispatch
 	return s
 }
-
-// Backend reports which event-queue backend this simulator runs on.
-func (s *Simulator) Backend() eventq.Backend { return s.q.Backend() }
 
 // Now reports the current simulated time.
 func (s *Simulator) Now() simtime.Time { return s.now }
