@@ -43,7 +43,7 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "workers for independent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		forkWarmup  = flag.Bool("fork-warmup", false, "benchmark the fig5 warm-start fork sweep against its cold control and exit")
 		forkOut     = flag.String("fork-out", "BENCH_4.json", "output path for the -fork-warmup comparison report")
-		pdes        = flag.Bool("pdes", false, "benchmark the sharded conservative-PDES cluster (executor groups 1/2/4/8, per-edge vs global windows, digest identity enforced) and exit")
+		pdes        = flag.Bool("pdes", false, "benchmark the sharded conservative-PDES cluster (executor groups 1/2/4/8, per-edge windows, digest identity enforced) and exit")
 		pdesOut     = flag.String("pdes-out", "BENCH_7.json", "output path for the -pdes lookahead/topology report")
 		pdesHosts   = flag.Int("pdes-hosts", 64, "hosts (= shards) for the -pdes sweep")
 		fidelityOut = flag.String("fidelity-out", "BENCH_8.json", "output path for the -experiment fidelity ablation record")

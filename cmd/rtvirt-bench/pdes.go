@@ -6,7 +6,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"rtvirt/internal/cluster"
@@ -24,16 +23,14 @@ import (
 //
 // The sweep measures two things:
 //
-//   - Windows. With per-edge lookaheads (the default), every declared
-//     link contributes its real latency to the conservative window
-//     bounds, so windows stretch to the topology's cycle lengths instead
-//     of the 19 µs global floor. One extra run with
-//     ShardedConfig.GlobalWindows compares against the PR-7 protocol on
-//     the identical world; BENCH_6's recorded window count is the
-//     historical reference for the same hosts/VMs/seconds configuration.
+//   - Windows. Every declared link contributes its real latency to the
+//     conservative window bounds, so windows stretch to the topology's
+//     cycle lengths instead of the 19 µs global floor. BENCH_6's recorded
+//     window count is the historical single-lookahead reference for the
+//     same hosts/VMs/seconds configuration (BENCH_7 also recorded that
+//     protocol re-run on this exact world).
 //   - Determinism. Executor groups 1/2/4/8 must produce byte-identical
-//     cluster digests; the global-window run must match modulo the window
-//     count in the digest header. Any divergence fails the process.
+//     cluster digests. Any divergence fails the process.
 type pdesGroupRow struct {
 	Groups       int     `json:"groups"`
 	WallSeconds  float64 `json:"wall_seconds"`
@@ -61,9 +58,7 @@ type pdesReport struct {
 	Requests          uint64         `json:"requests"`
 	Events            uint64         `json:"events"`
 	WindowsPerEdge    uint64         `json:"windows_per_edge"`
-	WindowsGlobal     uint64         `json:"windows_global"`
 	WindowsBench6     uint64         `json:"windows_bench6_reference"`
-	ReductionVsGlobal float64        `json:"window_reduction_vs_global"`
 	ReductionVsBench6 float64        `json:"window_reduction_vs_bench6"`
 	Migrations        int            `json:"migrations"`
 	Groups            []pdesGroupRow `json:"groups_sweep"`
@@ -95,14 +90,12 @@ func pdesLinkDelay(src, dst int) simtime.Duration {
 // buildPDESBench assembles the hosts-sized cluster. Two cache VMs per
 // host, each sporadic server fed by clients one and two hosts over at
 // the rack-distance link delay; eight planned migrations ripple through
-// the first hosts. The world is identical under both window modes — only
-// the synchronization protocol differs.
-func buildPDESBench(hosts int, globalWindows bool) (*cluster.Sharded, []*cluster.RemoteClient) {
+// the first hosts.
+func buildPDESBench(hosts int) (*cluster.Sharded, []*cluster.RemoteClient) {
 	cfg := cluster.DefaultShardedConfig()
 	cfg.Hosts = hosts
 	cfg.PCPUs = 4
 	cfg.Seed = 1
-	cfg.GlobalWindows = globalWindows
 	cfg.LinkDelay = pdesLinkDelay
 	c := cluster.NewSharded(cfg)
 	var clients []*cluster.RemoteClient
@@ -152,26 +145,9 @@ func buildPDESBench(hosts int, globalWindows bool) (*cluster.Sharded, []*cluster
 	return c, clients
 }
 
-// digestSansWindows strips the "windows=N" token from a cluster digest's
-// header line. Everything observable — event counts, clocks, per-task
-// statistics — must match across window protocols; only how many barrier
-// rounds produced it may differ.
-func digestSansWindows(d string) string {
-	head, rest, _ := strings.Cut(d, "\n")
-	fields := strings.Fields(head)
-	kept := fields[:0]
-	for _, f := range fields {
-		if !strings.HasPrefix(f, "windows=") {
-			kept = append(kept, f)
-		}
-	}
-	return strings.Join(kept, " ") + "\n" + rest
-}
-
 // runPDES sweeps executor group counts over the sharded cluster under
-// per-edge window bounds, checks digest identity, runs one global-window
-// baseline for the window-count A/B, and writes the report to outPath
-// (BENCH_7.json by default).
+// per-edge window bounds, checks digest identity, and writes the report
+// to outPath (BENCH_7.json by default).
 func runPDES(outPath string, hosts int, seconds int64) {
 	if hosts < 3 {
 		log.Fatalf("pdes bench needs at least 3 hosts, got %d", hosts)
@@ -198,14 +174,13 @@ func runPDES(outPath string, hosts int, seconds int64) {
 			"the digest-identity column is the determinism contract, the CI smoke " +
 			"re-runs the sweep on multi-core runners). windows_bench6_reference is " +
 			"the PR-7 global-lookahead run on the same hosts/VMs/seconds " +
-			"configuration; windows_global re-measures that protocol on this " +
-			"exact world via ShardedConfig.GlobalWindows.",
+			"configuration.",
 	}
 
 	var baseDigest string
 	var baseWall float64
 	for _, groups := range []int{1, 2, 4, 8} {
-		c, clients := buildPDESBench(hosts, false)
+		c, clients := buildPDESBench(hosts)
 		first := baseDigest == ""
 		if first {
 			r.VMs = len(c.Deployments())
@@ -247,27 +222,14 @@ func runPDES(outPath string, hosts int, seconds int64) {
 			groups, row.WallSeconds, row.Speedup, row.EventsPerSec/1e6)
 	}
 
-	// The A/B leg: the same world advanced under the PR-7 protocol (one
-	// global lookahead bounds every window). Observable state must match
-	// the per-edge runs bit-for-bit; only the window count may differ.
-	gc, _ := buildPDESBench(hosts, true)
-	gc.Start()
-	gc.Run(total, 1)
-	gc.Finish()
-	r.WindowsGlobal = gc.Set.Windows()
-	if digestSansWindows(gc.DigestString()) != digestSansWindows(baseDigest) {
-		r.DigestIdentical = false
-		fmt.Println("  global-window baseline DIGEST DIVERGED from per-edge runs")
-	}
 	if r.WindowsPerEdge > 0 {
-		r.ReductionVsGlobal = float64(r.WindowsGlobal) / float64(r.WindowsPerEdge)
 		r.ReductionVsBench6 = float64(bench6Windows) / float64(r.WindowsPerEdge)
 	}
 
 	fmt.Printf("  %d VMs, %d clients, %d requests, %d events, %d migrations; digests identical: %v\n",
 		r.VMs, r.Clients, r.Requests, r.Events, r.Migrations, r.DigestIdentical)
-	fmt.Printf("  windows: per-edge %d, global %d on this world (%.1fx fewer), BENCH_6 reference %d (%.1fx fewer)\n",
-		r.WindowsPerEdge, r.WindowsGlobal, r.ReductionVsGlobal, r.WindowsBench6, r.ReductionVsBench6)
+	fmt.Printf("  windows: per-edge %d, BENCH_6 reference %d (%.1fx fewer)\n",
+		r.WindowsPerEdge, r.WindowsBench6, r.ReductionVsBench6)
 	if !r.DigestIdentical {
 		log.Fatal("pdes bench: executor group counts disagreed — determinism contract broken")
 	}

@@ -9,8 +9,9 @@
 //	  "pcpus": 4,
 //	  "seconds": 30,
 //	  "seed": 1,
-//	  "costs": {"context_switch_us": 2, "migration_us": 3,    // platform cost model
-//	            "hypercall_us": 10,                           // (omitted fields keep §4.5 defaults)
+//	  "costs": {"context_switch": 2, "migration": 3,          // platform cost model, µs or a
+//	            "hypercall": {"lognormal": {"mean_us": 10,    // distribution object (omitted
+//	                                        "sigma": 0.45}},  // fields keep §4.5 defaults)
 //	            "network_delay_us": 19},                      // client→server latency, must be > 0
 //	  "vms": [
 //	    {

@@ -1,6 +1,8 @@
 // Command cluster demonstrates the §6 multi-host extension: bandwidth-aware
-// VM placement across RTVirt hosts and live migration with its overhead
-// made visible as (bounded) deadline misses.
+// VM placement across RTVirt hosts, live migration with its overhead made
+// visible as (bounded) deadline misses, and failover after a host crash.
+// Each host runs on its own simulator; Run's second argument is the
+// executor group count, which changes only the wall clock.
 package main
 
 import (
@@ -35,10 +37,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("placed %-8s on %s\n", spec.Name, d.Host.Name)
+		fmt.Printf("placed %-8s on %s\n", spec.Name, c.Hosts[d.HostIndex()].Name)
 	}
 	c.Start()
-	c.Run(5 * rtvirt.Second)
+	c.Run(5*rtvirt.Second, 1)
 
 	show := func(label string) {
 		fmt.Printf("\n%s:\n", label)
@@ -51,7 +53,7 @@ func main() {
 
 	// Rebalance: migrate until the spread is within 0.3 CPUs.
 	moves := c.Rebalance(0.3)
-	c.Run(5 * rtvirt.Second)
+	c.Run(5*rtvirt.Second, 1)
 	show(fmt.Sprintf("after rebalancing (%d live migrations)", moves))
 
 	fmt.Println()
@@ -59,7 +61,7 @@ func main() {
 		tk := d.Tasks()[0]
 		st := tk.Stats()
 		fmt.Printf("%-8s on %-6s frames=%4d missed=%2d (%.2f%%) migrations=%d blackout=%v\n",
-			d.Spec.Name, d.Host.Name, st.Released, st.Missed, 100*st.MissRatio(),
+			d.Spec.Name, c.Hosts[d.HostIndex()].Name, st.Released, st.Missed, 100*st.MissRatio(),
 			d.Migrations, d.BlackoutTotal)
 	}
 	fmt.Println("\nmigration downtime shows up as a handful of missed frames on the")
@@ -71,12 +73,12 @@ func main() {
 	affected := c.FailHost(victim)
 	fmt.Printf("\n%s CRASHED — %d VMs dark for %v, recovering on the survivor\n",
 		victim.Name, len(affected), cfg.RecoveryDelay)
-	c.Run(5 * rtvirt.Second)
+	c.Run(5*rtvirt.Second, 1)
 	show("after failover")
 	for _, d := range c.Deployments() {
 		tk := d.Tasks()[0]
 		st := tk.Stats()
-		state := "on " + d.Host.Name
+		state := "on " + c.Hosts[d.HostIndex()].Name
 		if d.Pending() {
 			state = "PENDING (no capacity)"
 		}

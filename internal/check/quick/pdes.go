@@ -17,7 +17,12 @@ import (
 // Config.Shards; all runs must produce byte-identical cluster digests.
 // This turns the quickcheck corpus into a randomized probe of the
 // conservative-window machinery — mailbox ordering, barrier placement,
-// migration handoff — on worlds nobody hand-crafted.
+// migration handoff — on worlds nobody hand-crafted. Every host of the
+// replica also carries the per-host oracle suite that check.Attach arms
+// for its scheduler (budget, bandwidth, admission and parity under the
+// sharded default RTVirt stack; EDF order too under RT-Xen), so migration
+// teardown and redeploy are checked against the same invariants as a
+// single-host run.
 
 // DefaultShards is the executor-group axis the PDES oracle compares. The
 // first entry is the baseline.
@@ -28,12 +33,6 @@ var DefaultShards = []int{1, 2, 4}
 // chains that span more than one edge.
 const pdesHosts = 3
 
-// buildPDES replicates sc's VMs onto each host of a fresh sharded
-// cluster (names suffixed with the host), drives every sporadic task
-// from a remote client on the next host, and plans one live migration at
-// half time. Periodic and background tasks run under the cluster's own
-// release machinery. Server-style reservations have no sharded
-// counterpart, so those VMs deploy as plain vcpus-style guests.
 // pdesClientDelay derives a deterministic pseudo-random network delay for
 // the client driving task ti of VM vi's host-h replica: 1–4× the global
 // lookahead (splitmix64 finalizer over the case seed and coordinates).
@@ -49,7 +48,15 @@ func pdesClientDelay(lookahead simtime.Duration, seed uint64, h, vi, ti int) sim
 	return lookahead * simtime.Duration(1+z%4)
 }
 
-func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
+// buildPDES replicates sc's VMs onto each host of a fresh sharded
+// cluster (names suffixed with the host), drives every sporadic task
+// from a remote client on the next host, and plans one live migration at
+// half time. Periodic and background tasks run under the cluster's own
+// release machinery. Server-style reservations have no sharded
+// counterpart, so those VMs deploy as plain vcpus-style guests. The
+// oracle suite is attached to every host before the first deploy; the
+// suites come back in host order.
+func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, []*check.Suite, error) {
 	cfg := cluster.DefaultShardedConfig()
 	cfg.Hosts = pdesHosts
 	cfg.PCPUs = sc.PCPUs
@@ -66,6 +73,10 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 		cfg.System.Costs = sc.Costs.CostModel()
 	}
 	c := cluster.NewSharded(cfg)
+	suites := make([]*check.Suite, len(c.Hosts))
+	for i, h := range c.Hosts {
+		suites[i] = check.Attach(h.Sys, check.Opts{})
+	}
 	total := simtime.Duration(sc.Seconds) * simtime.Second
 	for h := 0; h < cfg.Hosts; h++ {
 		for vi, vm := range sc.VMs {
@@ -95,7 +106,7 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 					ct.Kind = task.Background
 					ct.Params = task.Params{}
 				default:
-					return nil, fmt.Errorf("quick: pdes: unknown task kind %q", ts.Kind)
+					return nil, nil, fmt.Errorf("quick: pdes: unknown task kind %q", ts.Kind)
 				}
 				if ts.Adaptive != nil {
 					cfg := ts.Adaptive.Config()
@@ -122,7 +133,7 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 					pdesClientDelay(cfg.Lookahead, seed, h, vi, i),
 					dist.Uniform{Lo: mean / 2, Hi: mean + mean/2}, nil, 0)
 				if err != nil {
-					return nil, fmt.Errorf("quick: pdes client: %w", err)
+					return nil, nil, fmt.Errorf("quick: pdes client: %w", err)
 				}
 				if ts.Arrivals != nil {
 					// Open-loop production traffic drives the remote
@@ -134,51 +145,60 @@ func buildPDES(sc scenario.Scenario, seed uint64) (*cluster.Sharded, error) {
 	}
 	deps := c.Deployments()
 	if len(deps) == 0 {
-		return nil, fmt.Errorf("quick: pdes: no VM admitted")
+		return nil, nil, fmt.Errorf("quick: pdes: no VM admitted")
 	}
 	// One planned migration at half time exercises the cross-host
 	// handoff; its admission may legitimately fail on a full target,
 	// which is itself deterministic state the digest covers.
 	if err := c.PlanMigration(simtime.Time(0).Add(total/2), deps[0],
 		(deps[0].HostIndex()+1)%cfg.Hosts); err != nil {
-		return nil, fmt.Errorf("quick: pdes migration: %w", err)
+		return nil, nil, fmt.Errorf("quick: pdes migration: %w", err)
 	}
-	return c, nil
+	return c, suites, nil
 }
 
 // pdesIdentity runs sc's sharded replica under every group count in
-// shards and reports a violation if any digest differs from the first.
-func pdesIdentity(sc scenario.Scenario, seed uint64, shards []int) (*check.Violation, error) {
+// shards. It reports the per-host oracle violations of the first run,
+// each prefixed with its host, plus a pdes-identity violation if any
+// digest differs from the first.
+func pdesIdentity(sc scenario.Scenario, seed uint64, shards []int) ([]check.Violation, error) {
 	total := simtime.Duration(sc.Seconds) * simtime.Second
-	run := func(groups int) (string, error) {
-		c, err := buildPDES(sc, seed)
+	run := func(groups int) (string, []check.Violation, error) {
+		c, suites, err := buildPDES(sc, seed)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
 		c.Start()
 		c.Run(total, groups)
 		c.Finish()
-		return c.DigestString(), nil
+		var vs []check.Violation
+		for i, s := range suites {
+			for _, v := range s.Finish() {
+				v.Detail = c.Hosts[i].Name + ": " + v.Detail
+				vs = append(vs, v)
+			}
+		}
+		return c.DigestString(), vs, nil
 	}
-	base, err := run(shards[0])
+	base, vs, err := run(shards[0])
 	if err != nil {
 		return nil, err
 	}
 	for _, g := range shards[1:] {
-		got, err := run(g)
+		got, _, err := run(g)
 		if err != nil {
 			return nil, err
 		}
 		if got != base {
-			return &check.Violation{
+			return append(vs, check.Violation{
 				At:     simtime.Time(0).Add(total),
 				Oracle: "pdes-identity",
 				Detail: fmt.Sprintf("executor groups=%d digest differs from groups=%d: %s",
 					g, shards[0], firstDiffLine(base, got)),
-			}, nil
+			}), nil
 		}
 	}
-	return nil, nil
+	return vs, nil
 }
 
 // firstDiffLine names the first line where two digests part ways.

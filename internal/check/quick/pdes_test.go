@@ -54,7 +54,7 @@ func TestBuildPDESReplicates(t *testing.T) {
 	seed := splitmix64(3, 0)
 	sc := Generate(rand.New(rand.NewSource(int64(seed))))
 	sc.Seconds = 1
-	c, err := buildPDES(sc, seed)
+	c, _, err := buildPDES(sc, seed)
 	if err != nil {
 		t.Skipf("world rejected: %v", err)
 	}
@@ -75,5 +75,31 @@ func TestFirstDiffLine(t *testing.T) {
 	}
 	if got := firstDiffLine("a\nb", "a\nb\nc"); !strings.Contains(got, "lengths differ") {
 		t.Errorf("firstDiffLine = %q, want length mismatch", got)
+	}
+}
+
+// TestBuildPDESArmsOracles pins that every host of the sharded replica
+// carries the per-host oracle suite, armed before the first deploy.
+func TestBuildPDESArmsOracles(t *testing.T) {
+	seed := splitmix64(7, 0)
+	sc := Generate(rand.New(rand.NewSource(int64(seed))))
+	sc.Seconds = 1
+	c, suites, err := buildPDES(sc, seed)
+	if err != nil {
+		t.Skipf("world rejected: %v", err)
+	}
+	if len(suites) != len(c.Hosts) {
+		t.Fatalf("%d suites for %d hosts", len(suites), len(c.Hosts))
+	}
+	for i, s := range suites {
+		names := map[string]bool{}
+		for _, o := range s.Oracles() {
+			names[o.Name()] = true
+		}
+		for _, want := range []string{"budget", "bandwidth", "admission", "parity"} {
+			if !names[want] {
+				t.Errorf("host%d: oracle %q not armed (have %v)", i, want, names)
+			}
+		}
 	}
 }

@@ -148,21 +148,21 @@ func Run(cfg Config) *Report {
 		if cfg.SkipPDES || len(cfg.Shards) < 2 {
 			continue
 		}
-		// The sharded-PDES identity oracle. It is stack-independent (the
-		// replica runs under the sharded default stack), so it sits outside
-		// the stacks loop.
+		// The sharded-PDES identity oracle, with the per-host suite armed.
+		// It is stack-independent (the replica runs under the sharded
+		// default stack), so it sits outside the stacks loop.
 		rep.Runs++
-		v, err := pdesIdentity(sc, caseSeed, cfg.Shards)
+		vs, err := pdesIdentity(sc, caseSeed, cfg.Shards)
 		if err != nil {
 			rep.Skipped++
 			continue
 		}
-		if v != nil {
+		if len(vs) > 0 {
 			rep.Failures = append(rep.Failures, Failure{
 				Case:       i,
 				Stack:      "pdes",
 				Seed:       caseSeed,
-				Violations: []check.Violation{*v},
+				Violations: vs,
 				Scenario:   sc,
 			})
 		}

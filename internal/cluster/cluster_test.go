@@ -3,9 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"rtvirt/internal/dist"
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
@@ -25,6 +27,17 @@ func vmSpec(name string, sliceMS, periodMS int64) VMSpec {
 	}
 }
 
+// twoHostConfig is a 2×4-CPU worst-fit cluster with the default migration
+// and recovery model.
+func twoHostConfig() ShardedConfig {
+	cfg := DefaultShardedConfig()
+	cfg.Hosts = 2
+	return cfg
+}
+
+// hostOf returns the host d resides on (or is bound for).
+func hostOf(c *Sharded, d *ShardedDeployment) *ShardHost { return c.Hosts[d.HostIndex()] }
+
 func TestPlacementPolicies(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
@@ -35,10 +48,9 @@ func TestPlacementPolicies(t *testing.T) {
 		{BestFit, true},   // host0 has least free space and fits
 		{WorstFit, false}, // host1 has more room
 	} {
-		cfg := DefaultConfig()
+		cfg := twoHostConfig()
 		cfg.Policy = tc.policy
-		c := New(cfg)
-		cfg.PCPUs = 4
+		c := NewSharded(cfg)
 		d1, err := c.Place(vmSpec("a", 20, 10*4)) // 0.5
 		if err != nil {
 			t.Fatalf("%v: %v", tc.policy, err)
@@ -47,7 +59,7 @@ func TestPlacementPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.policy, err)
 		}
-		same := d1.Host == d2.Host
+		same := d1.HostIndex() == d2.HostIndex()
 		if same != tc.wantSame {
 			t.Errorf("%v: same-host = %v, want %v", tc.policy, same, tc.wantSame)
 		}
@@ -55,10 +67,9 @@ func TestPlacementPolicies(t *testing.T) {
 }
 
 func TestPlaceRejectsWhenFull(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hosts = 2
+	cfg := twoHostConfig()
 	cfg.PCPUs = 1
-	c := New(cfg)
+	c := NewSharded(cfg)
 	for i := 0; i < 2; i++ {
 		if _, err := c.Place(vmSpec(fmt.Sprintf("big%d", i), 9, 10)); err != nil {
 			t.Fatal(err)
@@ -71,9 +82,8 @@ func TestPlaceRejectsWhenFull(t *testing.T) {
 }
 
 func TestPlacedVMsMeetDeadlines(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
-	var vms []*Deployment
+	c := NewSharded(twoHostConfig())
+	var vms []*ShardedDeployment
 	for i := 0; i < 6; i++ {
 		d, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 4, 10)) // 0.4 each
 		if err != nil {
@@ -82,7 +92,7 @@ func TestPlacedVMsMeetDeadlines(t *testing.T) {
 		vms = append(vms, d)
 	}
 	c.Start()
-	c.Run(5 * simtime.Second)
+	c.Run(5*simtime.Second, 2)
 	for _, d := range vms {
 		for _, tk := range d.Tasks() {
 			if st := tk.Stats(); st.Missed != 0 {
@@ -93,16 +103,16 @@ func TestPlacedVMsMeetDeadlines(t *testing.T) {
 }
 
 func TestLiveMigration(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := twoHostConfig()
 	cfg.Policy = FirstFit
-	c := New(cfg)
+	c := NewSharded(cfg)
 	d, err := c.Place(vmSpec("mover", 4, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := d.Host
+	src := hostOf(c, d)
 	c.Start()
-	c.Run(2 * simtime.Second)
+	c.Run(2*simtime.Second, 1)
 
 	target, err := c.Migrate("mover", nil)
 	if err != nil {
@@ -115,9 +125,12 @@ func TestLiveMigration(t *testing.T) {
 	if bw := src.ReservedBandwidth(); bw > 0.01 {
 		t.Fatalf("source still reserves %.3f during blackout", bw)
 	}
-	c.Run(2 * simtime.Second)
-	if d.Host != target || d.Migrations != 1 {
-		t.Fatalf("migration not completed: host=%v migrations=%d", d.Host.Name, d.Migrations)
+	if !d.Migrating() || d.Guest() != nil {
+		t.Fatalf("no blackout after Migrate: migrating=%v dark=%v", d.Migrating(), d.Guest() == nil)
+	}
+	c.Run(2*simtime.Second, 1)
+	if hostOf(c, d) != target || d.Migrations != 1 {
+		t.Fatalf("migration not completed: host=%v migrations=%d", hostOf(c, d).Name, d.Migrations)
 	}
 	if d.BlackoutTotal < cfg.MigrationDowntime {
 		t.Fatalf("blackout %v below base downtime", d.BlackoutTotal)
@@ -125,7 +138,7 @@ func TestLiveMigration(t *testing.T) {
 	// The VM runs again on the target: fresh releases complete.
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second)
+	c.Run(simtime.Second, 1)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after migration")
 	}
@@ -138,38 +151,56 @@ func TestLiveMigration(t *testing.T) {
 }
 
 func TestMigrateErrors(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hosts = 2
+	cfg := twoHostConfig()
 	cfg.PCPUs = 1
-	c := New(cfg)
-	if _, err := c.Migrate("ghost", nil); !errors.Is(err, ErrUnknownVM) {
-		t.Fatalf("err = %v", err)
-	}
+	c := NewSharded(cfg)
 	d, err := c.Place(vmSpec("a", 5, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Migrate("a", nil); err == nil {
+		t.Fatal("Migrate before Start accepted")
+	}
 	// Fill the other host so nothing fits.
 	other := c.Hosts[0]
-	if other == d.Host {
+	if other == hostOf(c, d) {
 		other = c.Hosts[1]
 	}
 	if _, err := c.Place(vmSpec("blocker", 9, 10)); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	if _, err := c.Migrate("a", other); !errors.Is(err, ErrNoHostFits) {
-		t.Fatalf("err = %v, want ErrNoHostFits", err)
+	if _, err := c.Migrate("ghost", nil); !errors.Is(err, ErrUnknownVM) {
+		t.Fatalf("unknown VM: err = %v", err)
 	}
-	if _, err := c.Migrate("a", d.Host); err == nil {
+	if _, err := c.Migrate("a", other); !errors.Is(err, ErrNoHostFits) {
+		t.Fatalf("full target: err = %v, want ErrNoHostFits", err)
+	}
+	if _, err := c.Migrate("a", nil); !errors.Is(err, ErrNoHostFits) {
+		t.Fatalf("full cluster: err = %v, want ErrNoHostFits", err)
+	}
+	if _, err := c.Migrate("a", hostOf(c, d)); err == nil {
 		t.Fatal("migrating to the same host accepted")
+	}
+
+	// A VM mid-blackout cannot be moved again.
+	c2 := NewSharded(twoHostConfig())
+	if _, err := c2.Place(vmSpec("m", 2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	c2.Start()
+	if _, err := c2.Migrate("m", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Migrate("m", nil); !errors.Is(err, ErrMigrating) {
+		t.Fatalf("migrating VM: err = %v, want ErrMigrating", err)
 	}
 }
 
 func TestRebalance(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := twoHostConfig()
 	cfg.Policy = BestFit // pack everything onto one host first
-	c := New(cfg)
+	c := NewSharded(cfg)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 8, 10*4)); err != nil { // 0.2 each
 			t.Fatal(err)
@@ -181,17 +212,22 @@ func TestRebalance(t *testing.T) {
 			h0.ReservedBandwidth(), h1.ReservedBandwidth())
 	}
 	c.Start()
-	c.Run(simtime.Second)
-	moves := c.Rebalance(0.3)
-	if moves == 0 {
-		t.Fatal("rebalance made no moves")
+	c.Run(simtime.Second, 1)
+	// Two moves balance the four VMs 2/2. Each move's blackout counts as
+	// inbound load on host1 at once; without that, host1 would still read
+	// empty and the rebalancer would drain a third VM onto it.
+	if moves := c.Rebalance(0.3); moves != 2 {
+		t.Fatalf("rebalance made %d moves, want 2", moves)
 	}
-	c.Run(simtime.Second) // let blackouts finish
+	if again := c.Rebalance(0.3); again != 0 {
+		t.Fatalf("second rebalance during the blackouts made %d more moves", again)
+	}
+	c.Run(simtime.Second, 1) // let blackouts finish
 	gap := h0.ReservedBandwidth() - h1.ReservedBandwidth()
 	if gap < 0 {
 		gap = -gap
 	}
-	if gap > 0.5 {
+	if gap > 0.3 {
 		t.Fatalf("still unbalanced: %.2f vs %.2f", h0.ReservedBandwidth(), h1.ReservedBandwidth())
 	}
 }
@@ -204,7 +240,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestDuplicatePlacementRejected(t *testing.T) {
-	c := New(DefaultConfig())
+	c := NewSharded(twoHostConfig())
 	if _, err := c.Place(vmSpec("dup", 1, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -216,19 +252,19 @@ func TestDuplicatePlacementRejected(t *testing.T) {
 // TestMigrationCleansUpSourceHost: repeated migrations must not leak VCPUs
 // or VMs on the source hosts.
 func TestMigrationCleansUpSourceHost(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := twoHostConfig()
 	cfg.Policy = FirstFit
-	c := New(cfg)
+	c := NewSharded(cfg)
 	if _, err := c.Place(vmSpec("pingpong", 3, 10)); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	for i := 0; i < 6; i++ {
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 		if _, err := c.Migrate("pingpong", nil); err != nil {
 			t.Fatalf("migration %d: %v", i, err)
 		}
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 	}
 	for _, h := range c.Hosts {
 		vms := len(h.Sys.Host.VMs())
@@ -244,7 +280,7 @@ func TestMigrationCleansUpSourceHost(t *testing.T) {
 	// The VM still makes progress.
 	tk := d.Tasks()[0]
 	before := tk.Stats().Completed
-	c.Run(simtime.Second)
+	c.Run(simtime.Second, 1)
 	if tk.Stats().Completed <= before {
 		t.Fatal("no progress after ping-pong migrations")
 	}
@@ -258,12 +294,12 @@ func TestQuickClusterChurn(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		cfg := DefaultConfig()
+		cfg := twoHostConfig()
 		cfg.Hosts = 2 + rng.Intn(2)
 		cfg.PCPUs = 2
 		cfg.Seed = seed
 		cfg.Policy = Policy(rng.Intn(3))
-		c := New(cfg)
+		c := NewSharded(cfg)
 		placed := 0
 		for i := 0; i < 6; i++ {
 			s := vmSpec(fmt.Sprintf("vm%d", i), 2+rng.Int63n(5), 10+rng.Int63n(20))
@@ -276,15 +312,12 @@ func TestQuickClusterChurn(t *testing.T) {
 		}
 		c.Start()
 		for e := 0; e < 10; e++ {
-			c.Run(simtime.Duration(200+rng.Int63n(800)) * simtime.Millisecond)
-			names := c.Deployments()
-			if len(names) == 0 {
-				return false
-			}
-			d := names[rng.Intn(len(names))]
+			c.Run(simtime.Duration(200+rng.Int63n(800))*simtime.Millisecond, 1+e%2)
+			ds := c.Deployments()
+			d := ds[rng.Intn(len(ds))]
 			_, _ = c.Migrate(d.Spec.Name, nil) // failures are fine
 		}
-		c.Run(2 * simtime.Second)
+		c.Run(2*simtime.Second, 1)
 		// Invariants.
 		for _, h := range c.Hosts {
 			if h.ReservedBandwidth() > h.Capacity()+1e-6 {
@@ -296,9 +329,9 @@ func TestQuickClusterChurn(t *testing.T) {
 		for _, d := range c.Deployments() {
 			tk := d.Tasks()[0]
 			before := tk.Stats().Completed
-			c.Run(simtime.Second)
+			c.Run(simtime.Second, 1)
 			if tk.Stats().Completed <= before {
-				t.Logf("seed %d: %s stalled after churn", seed, d.Spec.Name)
+				t.Logf("seed %d: %s stalled after churn\n%s", seed, d.Spec.Name, c.DigestString())
 				return false
 			}
 		}
@@ -310,8 +343,8 @@ func TestQuickClusterChurn(t *testing.T) {
 }
 
 func TestFailHostRecoversVMs(t *testing.T) {
-	cfg := DefaultConfig() // 2×4 CPUs, worst-fit, 500ms recovery
-	c := New(cfg)
+	cfg := twoHostConfig() // 2×4 CPUs, worst-fit, 500ms recovery
+	c := NewSharded(cfg)
 	// One VM per host (worst-fit spreads them).
 	d1, err := c.Place(vmSpec("a", 2, 10)) // 0.2 CPUs
 	if err != nil {
@@ -321,32 +354,35 @@ func TestFailHostRecoversVMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Host == d2.Host {
+	if d1.HostIndex() == d2.HostIndex() {
 		t.Fatal("worst-fit co-located the VMs")
 	}
 	c.Start()
-	c.Run(simtime.Seconds(2))
+	c.Run(simtime.Seconds(2), 1)
 
-	crashed := d1.Host
-	survivor := d2.Host
+	crashed := hostOf(c, d1)
+	survivor := hostOf(c, d2)
 	affected := c.FailHost(crashed)
 	if len(affected) != 1 || affected[0] != d1 {
 		t.Fatalf("affected = %v", affected)
 	}
-	if !crashed.Failed() || !d1.Pending() {
-		t.Fatalf("failure state: host=%v vm=%v", crashed.Failed(), d1.Pending())
+	// The failover is a blackout in flight toward the survivor.
+	if !crashed.Failed() || !d1.Migrating() || d1.Guest() != nil || d1.Pending() {
+		t.Fatalf("failure state: host=%v migrating=%v dark=%v pending=%v",
+			crashed.Failed(), d1.Migrating(), d1.Guest() == nil, d1.Pending())
 	}
 	// Failing twice is a no-op.
 	if again := c.FailHost(crashed); again != nil {
 		t.Fatalf("second FailHost returned %v", again)
 	}
 
-	c.Run(simtime.Seconds(2))
-	if d1.Pending() || d1.Host != survivor {
-		t.Fatalf("vm a not recovered: pending=%v host=%v", d1.Pending(), d1.Host)
+	c.Run(simtime.Seconds(2), 2)
+	if d1.Pending() || d1.Migrating() || hostOf(c, d1) != survivor {
+		t.Fatalf("vm a not recovered: pending=%v host=%v", d1.Pending(), hostOf(c, d1).Name)
 	}
-	if d1.Failovers != 1 || d1.BlackoutTotal != cfg.RecoveryDelay {
-		t.Fatalf("failover accounting: %+v", d1)
+	if d1.Failovers != 1 || d1.Migrations != 0 || d1.BlackoutTotal != cfg.RecoveryDelay {
+		t.Fatalf("failover accounting: failovers=%d migrations=%d blackout=%v",
+			d1.Failovers, d1.Migrations, d1.BlackoutTotal)
 	}
 	// The crash cost deadlines (the VM was dark 500ms ≈ 50 periods), but
 	// it runs cleanly again on the survivor.
@@ -355,7 +391,7 @@ func TestFailHostRecoversVMs(t *testing.T) {
 	if missesAfterRecovery == 0 {
 		t.Fatal("500ms blackout caused no misses")
 	}
-	c.Run(simtime.Seconds(2))
+	c.Run(simtime.Seconds(2), 1)
 	if got := tk.Stats().Missed; got != missesAfterRecovery {
 		t.Fatalf("still missing after recovery: %d -> %d", missesAfterRecovery, got)
 	}
@@ -363,24 +399,18 @@ func TestFailHostRecoversVMs(t *testing.T) {
 	if n := len(crashed.Sys.Host.VMs()); n != 0 {
 		t.Fatalf("%d VMs left on the crashed host", n)
 	}
-	// A ~3.8-CPU VM only fits the crashed host's empty capacity; the
-	// survivor (≈3.5 CPUs free) cannot take it, so placement must fail.
-	probe := VMSpec{Name: "c", VCPUs: 4}
-	for i := 0; i < 4; i++ {
-		probe.Tasks = append(probe.Tasks, TaskSpec{
-			Name: fmt.Sprintf("c-rta%d", i), Kind: task.Periodic,
-			Params: task.Params{Slice: ms(19) / 2, Period: ms(10)},
-		})
+	if _, err := c.Migrate("b", crashed); !errors.Is(err, ErrNoHostFits) {
+		t.Fatalf("migrating onto the failed host: err = %v, want ErrNoHostFits", err)
 	}
-	if _, err := c.Place(probe); err == nil {
-		t.Fatal("placement used a failed host")
+	if _, err := c.Migrate("a", nil); !errors.Is(err, ErrNoHostFits) {
+		t.Fatalf("policy migration with only a failed host left: err = %v, want ErrNoHostFits", err)
 	}
 }
 
 func TestFailHostNoCapacityThenRestore(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := twoHostConfig()
 	cfg.Policy = FirstFit
-	c := New(cfg)
+	c := NewSharded(cfg)
 	// heavySpec builds a VM from n 0.9-utilization tasks, each filling
 	// most of one VCPU (0.95 reserved with the 500µs slack).
 	heavySpec := func(name string, n int) VMSpec {
@@ -403,27 +433,32 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 
 	h0 := c.Hosts[0]
-	c.FailHost(h0)
-	c.Run(simtime.Seconds(2)) // recovery delay passes, nowhere to go
+	if affected := c.FailHost(h0); len(affected) != 1 || affected[0] != big {
+		t.Fatalf("affected = %v", affected)
+	}
+	c.Run(simtime.Seconds(2), 2) // recovery delay passes, nowhere to go
 	if !big.Pending() {
-		t.Fatal("2.0-CPU VM recovered without capacity")
+		t.Fatal("1.8-CPU VM recovered without capacity")
+	}
+	if _, err := c.Migrate("big", nil); !errors.Is(err, ErrMigrating) {
+		t.Fatalf("migrating a pending VM: err = %v, want ErrMigrating", err)
 	}
 
 	c.RestoreHost(h0)
 	if big.Pending() {
 		t.Fatal("restore did not retry the pending VM")
 	}
-	if big.Host != h0 {
-		t.Fatalf("recovered on %s", big.Host.Name)
+	if hostOf(c, big) != h0 || big.Failovers != 1 {
+		t.Fatalf("recovered on %s with %d failovers", hostOf(c, big).Name, big.Failovers)
 	}
-	c.Run(simtime.Seconds(2))
+	c.Run(simtime.Seconds(2), 1)
 	// Clean run after restoration: misses stop accumulating.
 	tk := big.Tasks()[0]
 	before := tk.Stats().Missed
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 	if got := tk.Stats().Missed; got != before {
 		t.Fatalf("missing after restore: %d -> %d", before, got)
 	}
@@ -431,19 +466,22 @@ func TestFailHostNoCapacityThenRestore(t *testing.T) {
 	c.RestoreHost(h0)
 }
 
+// TestMigrateToHostThatFails crashes a migration's target while the
+// handoff is already queued there: the arrival must be re-addressed to a
+// live fallback instead of deploying onto the corpse.
 func TestMigrateToHostThatFails(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := twoHostConfig()
 	cfg.Hosts = 3
-	c := New(cfg)
+	c := NewSharded(cfg)
 	d, err := c.Place(vmSpec("a", 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 
-	src := d.Host
-	var target *Host
+	src := hostOf(c, d)
+	var target *ShardHost
 	for _, h := range c.Hosts {
 		if h != src {
 			target = h
@@ -453,55 +491,92 @@ func TestMigrateToHostThatFails(t *testing.T) {
 	if _, err := c.Migrate("a", target); err != nil {
 		t.Fatal(err)
 	}
-	// The target dies during the blackout: the VM must fall back to a
-	// live host instead of deploying onto the corpse.
-	c.FailHost(target)
-	c.Run(simtime.Seconds(2))
-	if d.Pending() {
-		t.Fatal("VM stuck pending despite spare capacity")
+	c.Run(20*simtime.Millisecond, 2) // the handoff now sits in target's queue
+	if affected := c.FailHost(target); len(affected) != 0 {
+		t.Fatalf("the in-flight VM is not resident on the target, yet affected = %v", affected)
 	}
-	if d.Host == target || d.Host.Failed() {
-		t.Fatalf("VM landed on the failed host %s", d.Host.Name)
+	c.Run(simtime.Seconds(2), 2)
+	if d.Pending() || d.Migrating() {
+		t.Fatal("VM stuck dark despite spare capacity")
+	}
+	if hostOf(c, d) == target || hostOf(c, d).Failed() {
+		t.Fatalf("VM landed on the failed host %s", hostOf(c, d).Name)
+	}
+	if d.Migrations != 1 || d.BlackoutTotal <= c.downtime(d) {
+		t.Fatalf("migrations=%d blackout=%v: the re-addressing hop must extend the %v blackout",
+			d.Migrations, d.BlackoutTotal, c.downtime(d))
 	}
 	tk := d.Tasks()[0]
 	before := tk.Stats().Missed
-	c.Run(simtime.Seconds(1))
+	c.Run(simtime.Seconds(1), 1)
 	if got := tk.Stats().Missed; got != before {
 		t.Fatalf("missing after fallback: %d -> %d", before, got)
 	}
 }
 
-func TestMigrateRejectsPendingVM(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
+// TestMigrateToHostThatFailsNoFallback crashes a migration's target when
+// no survivor has room: the VM goes pending on arrival and RestoreHost
+// redeploys it.
+func TestMigrateToHostThatFailsNoFallback(t *testing.T) {
+	c := NewSharded(twoHostConfig())
 	d, err := c.Place(vmSpec("a", 2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(simtime.Seconds(1))
-	c.FailHost(d.Host)
+	c.Run(simtime.Seconds(1), 1)
+	src, target := hostOf(c, d), c.Hosts[1-d.HostIndex()]
+	if _, err := c.Migrate("a", target); err != nil {
+		t.Fatal(err)
+	}
+	c.FailHost(src) // empty now: the VM is in flight
+	c.FailHost(target)
+	c.Run(simtime.Seconds(1), 2)
+	if !d.Pending() || d.Migrations != 1 {
+		t.Fatalf("pending=%v migrations=%d, want a completed-but-pending migration", d.Pending(), d.Migrations)
+	}
+	c.RestoreHost(src)
+	if d.Pending() || hostOf(c, d) != src || d.Failovers != 1 {
+		t.Fatalf("restore: pending=%v host=%s failovers=%d", d.Pending(), hostOf(c, d).Name, d.Failovers)
+	}
+	tk := d.Tasks()[0]
+	before := tk.Stats().Completed
+	c.Run(simtime.Seconds(1), 1)
+	if tk.Stats().Completed <= before {
+		t.Fatal("no progress after restore")
+	}
+}
+
+func TestMigrateRejectsPendingVM(t *testing.T) {
+	c := NewSharded(twoHostConfig())
+	d, err := c.Place(vmSpec("a", 2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(simtime.Seconds(1), 1)
+	c.FailHost(hostOf(c, d))
 	if _, err := c.Migrate("a", nil); !errors.Is(err, ErrMigrating) {
-		t.Fatalf("migrating a pending VM: err = %v", err)
+		t.Fatalf("migrating a failing-over VM: err = %v", err)
 	}
 }
 
 // Property: under random crashes, restores and migrations, no VM is ever
-// lost — every deployment is either running on a live host or explicitly
-// pending — hosts are never overcommitted, and once the cluster heals,
-// every VM makes progress again.
+// lost — every deployment is either running on a live host, in a
+// blackout, or explicitly pending — hosts are never overcommitted, and
+// once the cluster heals, every VM makes progress again.
 func TestQuickFailoverChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long property test")
 	}
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		cfg := DefaultConfig()
+		cfg := twoHostConfig()
 		cfg.Hosts = 3
 		cfg.PCPUs = 2
 		cfg.Seed = seed
 		cfg.Policy = Policy(rng.Intn(3))
-		c := New(cfg)
+		c := NewSharded(cfg)
 		for i := 0; i < 5; i++ {
 			s := vmSpec(fmt.Sprintf("vm%d", i), 1+rng.Int63n(4), 10+rng.Int63n(20))
 			_, _ = c.Place(s) // rejections are fine
@@ -511,7 +586,7 @@ func TestQuickFailoverChaos(t *testing.T) {
 		}
 		c.Start()
 		for e := 0; e < 12; e++ {
-			c.Run(simtime.Duration(100+rng.Int63n(700)) * simtime.Millisecond)
+			c.Run(simtime.Duration(100+rng.Int63n(700))*simtime.Millisecond, 1+e%2)
 			switch rng.Intn(3) {
 			case 0:
 				c.FailHost(c.Hosts[rng.Intn(len(c.Hosts))])
@@ -534,24 +609,27 @@ func TestQuickFailoverChaos(t *testing.T) {
 					return false
 				}
 			}
+			for _, d := range c.Deployments() {
+				if d.Guest() != nil && (d.Migrating() || hostOf(c, d).Failed()) {
+					t.Logf("seed %d: %s runs while migrating=%v on failed=%v", seed,
+						d.Spec.Name, d.Migrating(), hostOf(c, d).Failed())
+					return false
+				}
+			}
 		}
 		// Heal the cluster and let in-flight blackouts drain.
 		for _, h := range c.Hosts {
 			c.RestoreHost(h)
 		}
-		c.Run(3 * simtime.Second)
+		c.Run(3*simtime.Second, 1)
 		for _, d := range c.Deployments() {
-			if d.Pending() {
-				t.Logf("seed %d: %s still pending after full restore", seed, d.Spec.Name)
-				return false
-			}
-			if d.Host.Failed() {
-				t.Logf("seed %d: %s lives on failed %s", seed, d.Spec.Name, d.Host.Name)
+			if d.Pending() || d.Migrating() {
+				t.Logf("seed %d: %s still dark after full restore", seed, d.Spec.Name)
 				return false
 			}
 			tk := d.Tasks()[0]
 			before := tk.Stats().Completed
-			c.Run(simtime.Second)
+			c.Run(simtime.Second, 1)
 			if tk.Stats().Completed <= before {
 				t.Logf("seed %d: %s stopped making progress", seed, d.Spec.Name)
 				return false
@@ -564,35 +642,116 @@ func TestQuickFailoverChaos(t *testing.T) {
 	}
 }
 
+// coordinatedWorld drives a 3-host world through every coordinator
+// operation between runs — Migrate, Rebalance, FailHost with a failover
+// and a blackout in flight toward the crashed host, RestoreHost — with a
+// remote client whose requests chase the VM through the forwarding chain.
+func coordinatedWorld(t *testing.T, seed uint64, groups int) *Sharded {
+	t.Helper()
+	cfg := twoHostConfig()
+	cfg.Hosts = 3
+	cfg.PCPUs = 2
+	cfg.Seed = seed
+	cfg.Policy = BestFit
+	c := NewSharded(cfg)
+	for i := 0; i < 4; i++ {
+		if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 3, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := c.Place(VMSpec{Name: "srv", VCPUs: 1, Tasks: []TaskSpec{
+		{Name: "req", Kind: task.Sporadic,
+			Params: task.Params{Slice: simtime.Micros(500), Period: simtime.Millis(5)}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddRemoteClient((srv.HostIndex()+1)%cfg.Hosts, srv, 0, cfg.Lookahead,
+		dist.Uniform{Lo: simtime.Micros(300), Hi: simtime.Micros(900)}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(300*simtime.Millisecond, groups)
+	if _, err := c.Migrate("srv", nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(200*simtime.Millisecond, groups)
+	c.Rebalance(0.1)
+	c.Run(10*simtime.Millisecond, groups)
+	c.FailHost(c.Hosts[0])
+	c.Run(250*simtime.Millisecond, groups) // mid-recovery
+	if _, err := c.Migrate("srv", nil); err != nil {
+		t.Fatal(err)
+	}
+	c.FailHost(hostOf(c, srv)) // srv's handoff is in flight toward it
+	c.Run(400*simtime.Millisecond, groups)
+	c.RestoreHost(c.Hosts[0])
+	c.Run(300*simtime.Millisecond, groups)
+	for _, h := range c.Hosts {
+		c.RestoreHost(h)
+	}
+	c.Rebalance(0.1)
+	c.Run(500*simtime.Millisecond, groups)
+	c.Finish()
+	return c
+}
+
+// TestShardedCoordinatorGroupIdentity pins that coordinator operations
+// between runs keep the sharded run's determinism contract: the digest is
+// byte-identical at 1, 2 and 4 executor groups.
+func TestShardedCoordinatorGroupIdentity(t *testing.T) {
+	base := coordinatedWorld(t, 42, 1)
+	migs, fails := 0, 0
+	for _, d := range base.Deployments() {
+		migs += d.Migrations
+		fails += d.Failovers
+	}
+	var fwd uint64
+	for _, h := range base.Hosts {
+		fwd += h.Agent().Forwarded
+	}
+	if migs == 0 || fails == 0 || fwd == 0 {
+		t.Fatalf("degenerate world: migrations=%d failovers=%d forwarded=%d\n%s",
+			migs, fails, fwd, base.DigestString())
+	}
+	want := base.DigestString()
+	for _, g := range []int{2, 4} {
+		if got := coordinatedWorld(t, 42, g).DigestString(); got != want {
+			t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
+				g, want, g, got)
+		}
+	}
+}
+
 // TestClusterDeterminism: identical seeds reproduce identical outcomes
 // bit-for-bit, including through migrations, a crash and a recovery.
 func TestClusterDeterminism(t *testing.T) {
 	run := func() string {
-		cfg := DefaultConfig()
+		cfg := twoHostConfig()
 		cfg.Hosts = 3
 		cfg.PCPUs = 2
 		cfg.Seed = 42
-		c := New(cfg)
+		c := NewSharded(cfg)
 		for i := 0; i < 4; i++ {
 			if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 3, 10)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c.Start()
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 		_, _ = c.Migrate("vm1", nil)
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 		c.FailHost(c.Hosts[0])
-		c.Run(simtime.Second)
+		c.Run(simtime.Second, 1)
 		c.RestoreHost(c.Hosts[0])
-		c.Run(simtime.Second)
-		out := ""
+		c.Run(simtime.Second, 1)
+		c.Finish()
+		out := c.DigestString()
 		for _, d := range c.Deployments() {
-			tk := d.Tasks()[0]
-			st := tk.Stats()
-			out += fmt.Sprintf("%s@%s rel=%d done=%d miss=%d ab=%d mig=%d fo=%d bo=%v\n",
-				d.Spec.Name, d.Host.Name, st.Released, st.Completed, st.Missed,
-				st.Abandoned, d.Migrations, d.Failovers, d.BlackoutTotal)
+			st := d.Tasks()[0].Stats()
+			out += fmt.Sprintf("%s@%s rel=%d done=%d miss=%d ab=%d fo=%d\n",
+				d.Spec.Name, hostOf(c, d).Name, st.Released, st.Completed, st.Missed,
+				st.Abandoned, d.Failovers)
 		}
 		for _, h := range c.Hosts {
 			out += fmt.Sprintf("%s bw=%.6f mig=%d\n",
@@ -603,5 +762,218 @@ func TestClusterDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("non-deterministic cluster run:\n--- first ---\n%s--- second ---\n%s", a, b)
+	}
+}
+
+// depRow is the per-deployment outcome compared between a cold run and a
+// forked run: placement, failover accounting and task job statistics.
+type depRow struct {
+	Name       string
+	Host       string
+	Migrations int
+	Failovers  int
+	Blackout   simtime.Duration
+	Pending    bool
+	Stats      []task.Stats
+}
+
+func clusterRows(c *Sharded) []depRow {
+	var rows []depRow
+	for _, d := range c.Deployments() {
+		r := depRow{
+			Name:       d.Spec.Name,
+			Host:       hostOf(c, d).Name,
+			Migrations: d.Migrations,
+			Failovers:  d.Failovers,
+			Blackout:   d.BlackoutTotal,
+			Pending:    d.Pending(),
+		}
+		for _, t := range d.Tasks() {
+			r.Stats = append(r.Stats, t.Stats())
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// TestClusterForkDeterminism forks a cluster while a host failure's
+// recovery is still in flight — the fork boundary cuts between the
+// failure and the failover — and pins that the forked future is
+// bit-identical to the uninterrupted run. The cut is taken twice: at the
+// crash instant, with the failover handoffs still in the source outbox,
+// and 100ms later, with them queued on the targets.
+func TestClusterForkDeterminism(t *testing.T) {
+	for _, into := range []simtime.Duration{0, 100 * simtime.Millisecond} {
+		build := func() *Sharded {
+			cfg := twoHostConfig()
+			cfg.Hosts = 3
+			cfg.PCPUs = 2
+			cfg.Seed = 5
+			c := NewSharded(cfg)
+			for i := 0; i < 4; i++ {
+				if _, err := c.Place(vmSpec(fmt.Sprintf("vm%d", i), 2, 10+int64(i)*5)); err != nil {
+					t.Fatalf("place vm%d: %v", i, err)
+				}
+			}
+			c.Start()
+			c.Run(simtime.Second, 1)
+			d, ok := c.Lookup("vm0")
+			if !ok {
+				t.Fatal("vm0 missing")
+			}
+			if affected := c.FailHost(hostOf(c, d)); len(affected) == 0 {
+				t.Fatal("failing vm0's host affected no deployments")
+			}
+			if into > 0 {
+				c.Run(into, 1)
+			}
+			return c
+		}
+
+		cold := build()
+		cold.Run(2*simtime.Second, 1)
+		cold.Finish()
+		want := clusterRows(cold)
+
+		base := build()
+		fc, _, err := base.Fork()
+		if err != nil {
+			t.Fatalf("cluster fork: %v", err)
+		}
+		fc.Run(2*simtime.Second, 2)
+		fc.Finish()
+		got := clusterRows(fc)
+
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fork %v after the crash diverges from the cold run:\n fork: %+v\n cold: %+v", into, got, want)
+		}
+		if fc.DigestString() != cold.DigestString() {
+			t.Fatalf("fork %v after the crash: digests differ:\n--- fork ---\n%s--- cold ---\n%s",
+				into, fc.DigestString(), cold.DigestString())
+		}
+		failovers := 0
+		for _, r := range got {
+			failovers += r.Failovers
+		}
+		if failovers == 0 {
+			t.Fatal("no failovers happened — the in-flight recovery never crossed the fork")
+		}
+		if now := base.Set.Now(); now != simtime.Time(simtime.Second+into) {
+			t.Errorf("base cluster advanced to %v by running its fork", now)
+		}
+	}
+}
+
+// TestMigrateThroughTwoFailedHosts crashes a migration's target and then
+// the fallback it was re-addressed to, both while the handoff is still in
+// flight: the handoff must follow the forwarding chain hop by hop (every
+// hop on a declared edge) and land on a live host.
+func TestMigrateThroughTwoFailedHosts(t *testing.T) {
+	cfg := twoHostConfig()
+	cfg.Hosts = 4
+	cfg.Policy = FirstFit
+	c := NewSharded(cfg)
+	d, err := c.Place(vmSpec("a", 2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(simtime.Seconds(1), 1)
+	if _, err := c.Migrate("a", c.Hosts[1]); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(20*simtime.Millisecond, 2)
+	c.FailHost(c.Hosts[1])
+	first := hostOf(c, d)
+	if first == c.Hosts[1] {
+		t.Fatal("no fallback chosen for the in-flight VM")
+	}
+	c.FailHost(first)
+	second := hostOf(c, d)
+	if second == first || second.Failed() {
+		t.Fatalf("second fallback %s", second.Name)
+	}
+	c.Run(simtime.Seconds(1), 2)
+	if d.Pending() || d.Migrating() || hostOf(c, d) != second {
+		t.Fatalf("pending=%v migrating=%v host=%s, want running on %s",
+			d.Pending(), d.Migrating(), hostOf(c, d).Name, second.Name)
+	}
+	tk := d.Tasks()[0]
+	before := tk.Stats().Completed
+	c.Run(simtime.Seconds(1), 1)
+	if tk.Stats().Completed <= before {
+		t.Fatal("no progress after two re-addressed hops")
+	}
+}
+
+// TestPendingVMForwardingTerminates is the regression test for a
+// forwarding cycle: a VM that went host0 → host1 → host0 left host0's
+// entry pointing at host1 and host1's at host0, so once the VM went
+// pending on host0 every request bounced between the two forever. A move
+// now clears the target's stale entry, and an arrival clears its own.
+func TestPendingVMForwardingTerminates(t *testing.T) {
+	cfg := twoHostConfig()
+	cfg.Hosts = 3
+	c := NewSharded(cfg)
+	d, err := c.Deploy(0, VMSpec{Name: "srv", VCPUs: 1, Tasks: []TaskSpec{
+		{Name: "req", Kind: task.Sporadic,
+			Params: task.Params{Slice: simtime.Micros(500), Period: simtime.Millis(5)}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.AddRemoteClient(2, d, 0, cfg.Lookahead, dist.Constant{D: simtime.Millis(1)}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(100*simtime.Millisecond, 1)
+	if _, err := c.Migrate("srv", c.Hosts[1]); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(200*simtime.Millisecond, 1)
+	c.FailHost(c.Hosts[2]) // empty; its client keeps sending
+	if _, err := c.Migrate("srv", c.Hosts[0]); err != nil {
+		t.Fatal(err)
+	}
+	c.FailHost(c.Hosts[1])
+	c.FailHost(c.Hosts[0]) // srv is in flight here and no survivor is left
+	c.Run(2*simtime.Second, 2)
+	if !d.Pending() {
+		t.Fatalf("srv should be pending: migrating=%v dark=%v", d.Migrating(), d.Guest() == nil)
+	}
+	var fwd uint64
+	for _, h := range c.Hosts {
+		fwd += h.Agent().Forwarded
+	}
+	if fwd > uint64(cl.Sent()) {
+		t.Fatalf("%d forwards for %d requests: requests are cycling between hosts", fwd, cl.Sent())
+	}
+}
+
+// TestMigrateCountsReservationSlack pins that fit is judged on the VM's
+// real reservation, budget slack included, not on its tasks' bandwidth:
+// a target with room for the estimate but not for the reservation would
+// refuse the VM at the end of the blackout and leave it pending.
+func TestMigrateCountsReservationSlack(t *testing.T) {
+	cfg := twoHostConfig()
+	cfg.PCPUs = 1
+	c := NewSharded(cfg)
+	d, err := c.Deploy(0, vmSpec("a", 2, 10)) // 0.2 of tasks, 0.25 reserved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Deploy(1, vmSpec("filler", 76, 100)); err != nil { // 0.765 reserved
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(100*simtime.Millisecond, 1)
+	free := c.Hosts[1].Capacity() - c.Hosts[1].ReservedBandwidth()
+	if bw := d.Spec.Bandwidth(); free < bw || free >= d.Guest().AllocatedBandwidth() {
+		t.Fatalf("fixture: host1 has %.3f free, want between %.3f and %.3f",
+			free, bw, d.Guest().AllocatedBandwidth())
+	}
+	if _, err := c.Migrate("a", c.Hosts[1]); !errors.Is(err, ErrNoHostFits) {
+		t.Fatalf("err = %v, want ErrNoHostFits", err)
 	}
 }

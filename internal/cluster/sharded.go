@@ -1,3 +1,18 @@
+// Package cluster implements the multi-host extension sketched in §6 of
+// the RTVirt paper: "considering the availability of multiple hosts,
+// RTVirt's VM admission and scheduling process can be extended to optimize
+// the placement of VMs across different hosts ... Live VM migration can be
+// considered to dynamically adjust VM placement at runtime, but its
+// overhead must be properly accounted for."
+//
+// A Sharded cluster gives every RTVirt host its own simulator and advances
+// them as a conservative PDES (parallel discrete-event simulation); at one
+// executor group it is a plain sequential simulator. VMs are placed by a
+// pluggable bandwidth-aware policy, and can be live-migrated between hosts
+// with a stop-and-copy downtime model (constant handoff plus a
+// per-reserved-bandwidth term, after the authors' own migration-cost
+// modelling [Wu & Zhao, CLOUD'11]). Deadline misses caused by the blackout
+// are charged to the moved VM's tasks — the §6 caveat made measurable.
 package cluster
 
 import (
@@ -15,13 +30,12 @@ import (
 	"rtvirt/internal/workload"
 )
 
-// This file is the sharded (conservative-PDES) counterpart of Cluster: a
-// Sharded cluster gives every host its own sim.Simulator — its own clock,
-// event queue, and RNG stream — and advances all of them concurrently in
-// sim.ShardSet lookahead windows. All cross-host interaction (client→
+// Every host owns a sim.Simulator — its own clock, event queue, and RNG
+// stream — and the sim.ShardSet advances all of them concurrently in
+// lookahead windows. All cross-host interaction during a run (client→
 // server request traffic, live-migration handoff, post-migration request
 // forwarding) travels through the shard mailbox with at least the
-// lookahead of delay, which is what makes the windows safe.
+// declared edge lookahead of delay, which is what makes the windows safe.
 //
 // Ownership discipline (what makes the parallel run race-free AND
 // grouping-invariant): during a window a host's handlers may touch only
@@ -30,8 +44,86 @@ import (
 // run at least one lookahead apart and are therefore separated by a
 // barrier. Agents decide residency from their own local maps — never by
 // peeking at another host's state mid-window. The only cross-host reads
-// are immutable topology (shard pointers, agent handler IDs) fixed before
-// Start.
+// are immutable topology (shard pointers, agent handler IDs).
+//
+// The coordinator operations — Migrate, Rebalance, FailHost, RestoreHost —
+// run on the caller's thread between Run calls, when RunUntil has settled
+// every shard at the same instant, so they may read and write any host.
+// They act at that instant (a source teardown, a redeploy) and hand
+// everything later to the mailbox protocol, declaring each new edge
+// before the next Run reseals the topology.
+
+// Policy selects the placement heuristic.
+type Policy int
+
+// Placement policies.
+const (
+	// FirstFit places on the first host with room.
+	FirstFit Policy = iota
+	// BestFit places on the feasible host with the least remaining RT
+	// bandwidth (consolidation).
+	BestFit
+	// WorstFit places on the feasible host with the most remaining RT
+	// bandwidth (load spreading).
+	WorstFit
+)
+
+// String implements fmt.Stringer.
+func (p Policy) String() string {
+	switch p {
+	case FirstFit:
+		return "first-fit"
+	case BestFit:
+		return "best-fit"
+	case WorstFit:
+		return "worst-fit"
+	default:
+		return fmt.Sprintf("Policy(%d)", int(p))
+	}
+}
+
+// TaskSpec describes one application of a VM deployment.
+type TaskSpec struct {
+	Name   string
+	Kind   task.Kind
+	Params task.Params
+	// Phase delays the first periodic release after deployment.
+	Phase simtime.Duration
+	// Adaptive, when set, attaches a feedback controller that retunes the
+	// task's slice from observed response times. Controllers are
+	// host-local — they observe the resident host's trace bus and actuate
+	// through the resident guest — so they preserve the sharded run's
+	// executor-group invariance.
+	Adaptive *guest.AdaptiveConfig
+}
+
+// VMSpec describes a deployable VM.
+type VMSpec struct {
+	Name  string
+	VCPUs int
+	Tasks []TaskSpec
+}
+
+// Bandwidth estimates the spec's RT bandwidth requirement in CPUs.
+func (s VMSpec) Bandwidth() float64 {
+	var sum float64
+	for _, t := range s.Tasks {
+		if t.Kind != task.Background {
+			sum += t.Params.Bandwidth()
+		}
+	}
+	return sum
+}
+
+// Errors.
+var (
+	// ErrNoHostFits is returned when no host can admit a VM.
+	ErrNoHostFits = errors.New("cluster: no host with sufficient bandwidth")
+	// ErrUnknownVM is returned for operations on unplaced VMs.
+	ErrUnknownVM = errors.New("cluster: unknown VM")
+	// ErrMigrating rejects operations on a VM mid-migration or pending.
+	ErrMigrating = errors.New("cluster: VM is migrating")
+)
 
 // ShardedConfig describes a sharded cluster run.
 type ShardedConfig struct {
@@ -41,19 +133,28 @@ type ShardedConfig struct {
 	// Seed fixes the whole run. Host i's simulator is seeded with
 	// splitmix64(Seed, i), so hosts share no stream structure.
 	Seed uint64
-	// System is the per-host configuration template, with the same
-	// contract as Config.System: topology knobs (PCPUs, Seed, SharedSim)
-	// stay blank — the cluster owns them.
+	// Policy is the placement heuristic of Place, Migrate and failover.
+	Policy Policy
+	// System is the per-host configuration template. The cluster owns the
+	// topology knobs: leave the template's PCPUs zero (or equal to
+	// PCPUs), its Seed zero and SharedSim nil — Validate rejects
+	// conflicting values.
 	System core.Config
 	// Lookahead is the conservative-window width: the minimum cross-host
 	// latency. Zero selects workload.DefaultNetworkDelay() (19µs, the
 	// paper's measured p99.9 network delay). Every remote client's delay
 	// and the migration downtime must be ≥ Lookahead.
 	Lookahead simtime.Duration
-	// MigrationDowntime / MigrationPerBW form the stop-and-copy blackout
-	// model, as in Config.
+	// MigrationDowntime is the stop-and-copy blackout base cost;
+	// MigrationPerBW adds blackout proportional to the VM's reserved
+	// bandwidth (the dirty working set scales with activity).
 	MigrationDowntime simtime.Duration
 	MigrationPerBW    simtime.Duration
+	// RecoveryDelay models failure detection plus VM restart after a host
+	// crash: VMs of a failed host go dark for this long before they
+	// resume on a survivor. A failover travels through the mailbox, so
+	// it must be ≥ Lookahead.
+	RecoveryDelay simtime.Duration
 	// LinkDelay optionally models per-pair network latency: forwarded
 	// requests chase a migrated VM at LinkDelay(src, dst) instead of the
 	// global Lookahead floor, and the declared migration-pair edges widen
@@ -63,16 +164,10 @@ type ShardedConfig struct {
 	// and must never return less than Lookahead; the first undershooting
 	// hop panics.
 	LinkDelay func(src, dst int) simtime.Duration
-	// GlobalWindows disables per-edge topology declaration: the shard set
-	// windows on the single global Lookahead for every pair, as before
-	// per-edge synchronization existed. Results are identical either way
-	// (modulo the window count); the knob exists for A/B comparison and
-	// as an escape hatch.
-	GlobalWindows bool
 }
 
-// DefaultShardedConfig returns a 4-host × 4-CPU RTVirt sharded cluster
-// with the sequential cluster's 50ms+20ms/CPU migration model and the
+// DefaultShardedConfig returns a 4-host × 4-CPU worst-fit RTVirt cluster
+// with a 50ms+20ms/CPU migration model, a 500ms recovery delay and the
 // 19µs network-delay lookahead.
 func DefaultShardedConfig() ShardedConfig {
 	sys := core.DefaultConfig(core.RTVirt)
@@ -82,10 +177,12 @@ func DefaultShardedConfig() ShardedConfig {
 		Hosts:             4,
 		PCPUs:             4,
 		Seed:              1,
+		Policy:            WorstFit,
 		System:            sys,
 		Lookahead:         workload.DefaultNetworkDelay(),
 		MigrationDowntime: simtime.Millis(50),
 		MigrationPerBW:    simtime.Millis(20),
+		RecoveryDelay:     simtime.Millis(500),
 	}
 }
 
@@ -101,15 +198,23 @@ func (cfg ShardedConfig) Validate() error {
 		return fmt.Errorf("cluster: migration downtime %v below lookahead %v — the handoff would outrun the conservative window",
 			cfg.MigrationDowntime, cfg.Lookahead)
 	}
+	if cfg.MigrationPerBW < 0 {
+		return fmt.Errorf("cluster: MigrationPerBW %v is negative — a blackout could fall below the lookahead",
+			cfg.MigrationPerBW)
+	}
+	if cfg.RecoveryDelay < cfg.Lookahead {
+		return fmt.Errorf("cluster: RecoveryDelay %v below lookahead %v — a failover travels through the mailbox",
+			cfg.RecoveryDelay, cfg.Lookahead)
+	}
 	if cfg.System.SharedSim != nil {
-		return errors.New("cluster: sharded Config.System.SharedSim must be nil; every host gets its own simulator")
+		return errors.New("cluster: ShardedConfig.System.SharedSim must be nil; every host gets its own simulator")
 	}
 	if cfg.System.PCPUs != 0 && cfg.System.PCPUs != cfg.PCPUs {
-		return fmt.Errorf("cluster: sharded Config.System.PCPUs (%d) conflicts with Config.PCPUs (%d); leave the template's zero",
+		return fmt.Errorf("cluster: ShardedConfig.System.PCPUs (%d) conflicts with ShardedConfig.PCPUs (%d); leave the template's zero",
 			cfg.System.PCPUs, cfg.PCPUs)
 	}
 	if cfg.System.Seed != 0 {
-		return errors.New("cluster: sharded Config.System.Seed must be zero; per-host seeds derive from Config.Seed")
+		return errors.New("cluster: ShardedConfig.System.Seed must be zero; per-host seeds derive from ShardedConfig.Seed")
 	}
 	return nil
 }
@@ -136,9 +241,17 @@ const (
 	// evAgentMigOut starts a live migration on the source host: Owner the
 	// deployment, Arg0 the target host index.
 	evAgentMigOut
-	// evAgentMigIn completes it on the target: Owner the deployment, Arg0
-	// the downtime charged.
+	// evAgentMigIn ends the blackout on the target: Owner the deployment,
+	// Arg0 the downtime charged, Arg1 the move kind (moveMigration or
+	// moveFailover).
 	evAgentMigIn
+)
+
+// Move kinds carried by evAgentMigIn: a failover is a migration whose
+// source teardown was forced by a crash.
+const (
+	moveMigration int64 = iota
+	moveFailover
 )
 
 // RemoteClient event kinds.
@@ -166,7 +279,7 @@ type AgentStats struct {
 	// had already left (or toward its current host) and were ignored.
 	SkippedMigrations uint64
 	// FailedDeploys counts migrations whose target admission failed; the
-	// VM stays dark.
+	// VM stays dark and pending.
 	FailedDeploys uint64
 }
 
@@ -193,10 +306,22 @@ type ShardHost struct {
 	Sys   *core.System
 
 	agent *hostAgent
+	// failed is set by FailHost and cleared by RestoreHost, between runs;
+	// during a run only the host's own agent reads it.
+	failed bool
 }
 
 // Agent exposes the host's traffic statistics.
 func (h *ShardHost) Agent() AgentStats { return h.agent.Stats }
+
+// Failed reports whether the host has crashed (see Sharded.FailHost).
+func (h *ShardHost) Failed() bool { return h.failed }
+
+// ReservedBandwidth reports the host's current RT reservations in CPUs.
+func (h *ShardHost) ReservedBandwidth() float64 { return h.Sys.AllocatedBandwidth() }
+
+// Capacity reports the host's RT capacity in CPUs.
+func (h *ShardHost) Capacity() float64 { return float64(h.Sys.Host.NumPCPUs()) }
 
 // ShardedDeployment is a VM placed on a sharded cluster. Between runs all
 // fields are stable to read; during a window only the resident host
@@ -217,17 +342,40 @@ type ShardedDeployment struct {
 	// fresh on the target).
 	ctrl []*guest.AdaptiveController
 
+	// Migrations counts completed live migrations, Failovers restarts
+	// after a host failure; BlackoutTotal accumulates both downtimes.
 	Migrations    int
+	Failovers     int
 	BlackoutTotal simtime.Duration
 	migrating     bool
+	// reserved is the RT bandwidth the VM held when it last went dark.
+	reserved float64
 }
 
 // HostIndex reports the host the deployment resides on (the migration
-// target from the moment the stop-and-copy begins).
+// target from the moment the stop-and-copy begins; for a pending VM, the
+// host it was last bound for).
 func (d *ShardedDeployment) HostIndex() int { return d.hostIdx }
 
-// Migrating reports whether a stop-and-copy blackout is in flight.
+// Migrating reports whether a stop-and-copy or failover blackout is in
+// flight.
 func (d *ShardedDeployment) Migrating() bool { return d.migrating }
+
+// need is the RT bandwidth the VM reserves when deployed: its live
+// reservation (slack included), or the one it held before going dark,
+// and never less than the spec's estimate.
+func (d *ShardedDeployment) need() float64 {
+	r := d.reserved
+	if d.guest != nil {
+		r = d.guest.AllocatedBandwidth()
+	}
+	return max(d.Spec.Bandwidth(), r)
+}
+
+// Pending reports whether the VM is dark with no blackout in flight: its
+// host crashed or its target could not admit it, and it waits for
+// RestoreHost to bring capacity back.
+func (d *ShardedDeployment) Pending() bool { return d.guest == nil && !d.migrating }
 
 // Guest exposes the current guest OS (nil during a blackout).
 func (d *ShardedDeployment) Guest() *guest.OS { return d.guest }
@@ -272,9 +420,10 @@ type RemoteClient struct {
 func (cl *RemoteClient) Sent() int { return cl.sent }
 
 // Sharded is a cluster of per-host logical processes under conservative
-// windowed synchronization. Build it with NewSharded, place VMs with
-// Deploy, attach traffic with AddRemoteClient, optionally PlanMigration,
-// then Start and Run.
+// windowed synchronization. Build it with NewSharded, place VMs with Place
+// or Deploy, attach traffic with AddRemoteClient, optionally
+// PlanMigration, then Start and Run; between runs, Migrate, Rebalance,
+// FailHost and RestoreHost change the placement.
 type Sharded struct {
 	Cfg   ShardedConfig
 	Set   *sim.ShardSet
@@ -283,20 +432,12 @@ type Sharded struct {
 	deps       []*ShardedDeployment
 	byName     map[string]*ShardedDeployment
 	clients    []*RemoteClient
-	plans      []migPlan
 	nextTaskID int
 	started    bool
 }
 
-// migPlan records one planned migration's endpoints for topology
-// declaration: src is the VM's host when the plan was laid (where the
-// stop-and-copy event sits), dst the target.
-type migPlan struct {
-	src, dst int
-}
-
 // NewSharded builds the hosts, one simulator each. It panics on an
-// incoherent configuration, mirroring New.
+// incoherent configuration.
 func NewSharded(cfg ShardedConfig) *Sharded {
 	if cfg.Lookahead == 0 {
 		cfg.Lookahead = workload.DefaultNetworkDelay()
@@ -334,9 +475,16 @@ func (c *Sharded) Lookup(name string) (*ShardedDeployment, bool) {
 	return d, ok
 }
 
-// Deploy admits a VM onto an explicit host (placement policy is the
-// caller's business in a sharded run — it is decided before Start, when
-// global state is still cheap to read).
+// Place admits a VM before Start onto the host chosen by Cfg.Policy.
+func (c *Sharded) Place(spec VMSpec) (*ShardedDeployment, error) {
+	h, err := c.pickHost(spec.Bandwidth(), -1, c.inbound())
+	if err != nil {
+		return nil, err
+	}
+	return c.Deploy(h.Shard.ID(), spec)
+}
+
+// Deploy admits a VM before Start onto an explicit host.
 func (c *Sharded) Deploy(host int, spec VMSpec) (*ShardedDeployment, error) {
 	if c.started {
 		return nil, errors.New("cluster: Deploy after Start")
@@ -371,7 +519,8 @@ func (c *Sharded) Deploy(host int, spec VMSpec) (*ShardedDeployment, error) {
 // deployGuest creates the guest on the host and registers the
 // deployment's tasks, wiring each task's completion callback to the
 // deployment-owned latency recorder. Reused task objects keep their
-// deadline statistics across migrations, exactly like Cluster.deploy.
+// deadline statistics — blackout-induced misses included — across
+// migrations.
 func (c *Sharded) deployGuest(d *ShardedDeployment, host int) error {
 	vcpus := d.Spec.VCPUs
 	if vcpus <= 0 {
@@ -485,6 +634,7 @@ func (c *Sharded) AddRemoteClient(clientHost int, d *ShardedDeployment, taskIdx 
 	}
 	cl.id = c.Hosts[clientHost].Shard.Sim().RegisterHandler(cl)
 	c.clients = append(c.clients, cl)
+	c.narrowEdge(clientHost, d.hostIdx, delay)
 	return cl, nil
 }
 
@@ -501,11 +651,256 @@ func (c *Sharded) PlanMigration(at simtime.Time, d *ShardedDeployment, to int) e
 	if to == d.hostIdx {
 		return fmt.Errorf("cluster: VM %q already on host%d", d.Spec.Name, to)
 	}
+	// The plan fires only on the host that laid it, so its handoff and
+	// the requests forwarded after it travel this one pair.
+	c.narrowEdge(d.hostIdx, to, min(c.hopDelay(d.hostIdx, to), c.Cfg.MigrationDowntime))
 	src := c.Hosts[d.hostIdx]
 	src.Shard.Sim().PostAt(at, sim.Payload{Handler: src.agent.id,
 		Kind: evAgentMigOut, Owner: d.id, Arg0: int64(to)})
-	c.plans = append(c.plans, migPlan{src: d.hostIdx, dst: to})
 	return nil
+}
+
+// downtime is d's stop-and-copy blackout: base plus per-bandwidth term.
+func (c *Sharded) downtime(d *ShardedDeployment) simtime.Duration {
+	return c.Cfg.MigrationDowntime + simtime.Duration(float64(c.Cfg.MigrationPerBW)*d.Spec.Bandwidth())
+}
+
+// inbound sums, per host, the bandwidth of VMs whose blackout is in flight
+// toward it, so placement and rebalancing do not overfill a host that is
+// about to receive them. Read between runs only.
+func (c *Sharded) inbound() []float64 {
+	in := make([]float64, len(c.Hosts))
+	for _, d := range c.deps {
+		if d.migrating {
+			in[d.hostIdx] += d.need()
+		}
+	}
+	return in
+}
+
+// free reports the host's unreserved RT capacity net of the inbound
+// blackouts in (see Sharded.inbound).
+func (h *ShardHost) free(in []float64) float64 {
+	return h.Capacity() - h.ReservedBandwidth() - in[h.Shard.ID()]
+}
+
+// pickHost applies the placement policy to the live hosts other than
+// exclude (-1 excludes none).
+func (c *Sharded) pickHost(bw float64, exclude int, in []float64) (*ShardHost, error) {
+	var best *ShardHost
+	var bestFree float64
+	for i, h := range c.Hosts {
+		if i == exclude || h.failed {
+			continue
+		}
+		free := h.free(in)
+		if free < bw {
+			continue
+		}
+		switch c.Cfg.Policy {
+		case FirstFit:
+			return h, nil
+		case BestFit:
+			if best == nil || free < bestFree {
+				best, bestFree = h, free
+			}
+		case WorstFit:
+			if best == nil || free > bestFree {
+				best, bestFree = h, free
+			}
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("%w: need %.3f CPUs", ErrNoHostFits, bw)
+	}
+	return best, nil
+}
+
+// move starts d's blackout toward host `to` at the current instant,
+// declaring the edge its handoff and forwarded requests travel. The
+// target drops a stale forwarding entry, so requests reaching it during
+// the blackout are refused instead of bouncing back along the chain.
+func (c *Sharded) move(d *ShardedDeployment, to int, downtime simtime.Duration, kind int64) {
+	from := c.Hosts[d.hostIdx]
+	c.narrowEdge(from.Shard.ID(), to, min(c.hopDelay(from.Shard.ID(), to), downtime))
+	delete(c.Hosts[to].agent.fwd, d.id)
+	from.agent.moveOut(from.Shard.Sim().Now(), d, to, downtime, kind)
+}
+
+// Migrate live-migrates a VM between runs to target (nil = pick by
+// policy): the VM goes dark on its source now, stays dark for the
+// stop-and-copy downtime, and resumes on the target. In-flight jobs at
+// the blackout are abandoned (they count as misses — the §6 overhead made
+// visible).
+func (c *Sharded) Migrate(name string, target *ShardHost) (*ShardHost, error) {
+	if !c.started {
+		return nil, errors.New("cluster: Migrate before Start")
+	}
+	d, ok := c.byName[name]
+	if !ok {
+		return nil, ErrUnknownVM
+	}
+	if d.migrating || d.Pending() {
+		return nil, ErrMigrating
+	}
+	bw := d.need()
+	in := c.inbound()
+	switch {
+	case target == nil:
+		t, err := c.pickHost(bw, d.hostIdx, in)
+		if err != nil {
+			return nil, err
+		}
+		target = t
+	case target.Shard.ID() == d.hostIdx:
+		return nil, fmt.Errorf("cluster: VM %q already on %s", name, target.Name)
+	case target.failed || target.free(in) < bw:
+		return nil, fmt.Errorf("%w: %s lacks %.3f CPUs", ErrNoHostFits, target.Name, bw)
+	}
+	c.move(d, target.Shard.ID(), c.downtime(d), moveMigration)
+	return target, nil
+}
+
+// Rebalance migrates VMs from the most- to the least-loaded live host
+// until the reserved-bandwidth spread (in-flight inbound included) is
+// within tolerance CPUs, and reports how many migrations it started.
+func (c *Sharded) Rebalance(tolerance float64) int {
+	moves := 0
+	for iter := 0; iter < len(c.deps)+1; iter++ {
+		in := c.inbound()
+		load := func(h *ShardHost) float64 { return h.ReservedBandwidth() + in[h.Shard.ID()] }
+		var hi, lo *ShardHost
+		for _, h := range c.Hosts {
+			if h.failed {
+				continue
+			}
+			if hi == nil || load(h) > load(hi) {
+				hi = h
+			}
+			if lo == nil || load(h) < load(lo) {
+				lo = h
+			}
+		}
+		if hi == lo {
+			break
+		}
+		gap := load(hi) - load(lo)
+		if gap <= tolerance {
+			break
+		}
+		// Move the largest VM on hi that still shrinks the gap.
+		var candidate *ShardedDeployment
+		for _, d := range c.deps {
+			if d.hostIdx != hi.Shard.ID() || d.guest == nil {
+				continue
+			}
+			if bw := d.need(); bw < gap && (candidate == nil || bw > candidate.need()) {
+				candidate = d
+			}
+		}
+		if candidate == nil {
+			break
+		}
+		if _, err := c.Migrate(candidate.Spec.Name, lo); err != nil {
+			break
+		}
+		moves++
+	}
+	return moves
+}
+
+// FailHost crashes a host between runs: every VM on it goes dark now
+// (in-flight and queued jobs are abandoned — visible as deadline misses),
+// and the host stops taking placements. Each VM fails over like a
+// migration whose downtime is Cfg.RecoveryDelay, to a survivor the policy
+// picks now; a VM that fits nowhere is Pending until RestoreHost brings
+// capacity back. VMs whose blackout is in flight toward the host are
+// re-addressed to a fallback survivor (or go pending on arrival). The
+// evicted deployments are returned; failing a failed host is a no-op.
+func (c *Sharded) FailHost(h *ShardHost) []*ShardedDeployment {
+	if !c.started {
+		panic("cluster: FailHost before Start")
+	}
+	if h.failed {
+		return nil
+	}
+	h.failed = true
+	id := h.Shard.ID()
+	in := c.inbound()
+	var affected []*ShardedDeployment
+	for _, d := range c.deps {
+		if d.hostIdx != id || d.Pending() {
+			continue
+		}
+		bw := d.need()
+		f, err := c.pickHost(bw, id, in)
+		switch {
+		case d.migrating && err == nil:
+			// Its handoff arrives here; migrateIn chases it to f, and so do
+			// late requests.
+			fid := f.Shard.ID()
+			d.hostIdx = fid
+			h.agent.fwd[d.id] = int32(fid)
+			delete(f.agent.fwd, d.id)
+			c.narrowEdge(id, fid, c.hopDelay(id, fid))
+			in[fid] += bw
+		case d.migrating:
+			// No survivor has room: the VM goes pending on arrival.
+		case err == nil:
+			c.move(d, f.Shard.ID(), c.Cfg.RecoveryDelay, moveFailover)
+			in[f.Shard.ID()] += bw
+			affected = append(affected, d)
+		default:
+			h.agent.evict(d)
+			affected = append(affected, d)
+		}
+	}
+	return affected
+}
+
+// RestoreHost brings a failed host back between runs (empty — its VMs
+// failed over or are pending) and immediately redeploys every pending VM
+// the policy finds room for; each counts as a failover. Restoring a live
+// host is a no-op.
+func (c *Sharded) RestoreHost(h *ShardHost) {
+	if !h.failed {
+		return
+	}
+	h.failed = false
+	in := c.inbound()
+	for _, d := range c.deps {
+		if !d.Pending() {
+			continue
+		}
+		t, err := c.pickHost(d.need(), -1, in)
+		if err != nil {
+			continue
+		}
+		from, to := d.hostIdx, t.Shard.ID()
+		if t.agent.land(t.Shard.Sim().Now(), d) != nil {
+			continue
+		}
+		d.Failovers++
+		delete(t.agent.fwd, d.id)
+		if from != to {
+			c.Hosts[from].agent.fwd[d.id] = int32(to)
+			c.narrowEdge(from, to, c.hopDelay(from, to))
+		}
+	}
+}
+
+// narrowEdge declares the from→to edge at lookahead l, or keeps its
+// current lookahead if that is already smaller: parallel uses of one
+// pair keep the minimum. Every path a message can take is declared where
+// it is created — a client's (client → home) link at its network delay,
+// a move's (source → target) pair at the cheaper of its handoff and a
+// forwarded request (hopDelay), a FailHost re-address or a RestoreHost
+// redeploy at hopDelay — so the shard set windows per edge and hosts
+// that never talk never constrain each other.
+func (c *Sharded) narrowEdge(from, to int, l simtime.Duration) {
+	if cur := c.Set.EdgeLookahead(from, to); cur == 0 || l < cur {
+		c.Set.SetEdgeLookahead(from, to, l)
+	}
 }
 
 // hopDelay is the network latency a forwarded request pays on the
@@ -524,39 +919,6 @@ func (c *Sharded) hopDelay(from, to int) simtime.Duration {
 	return d
 }
 
-// declareTopology hands the shard set the actual communication graph so
-// it can window per edge instead of on the global minimum. Every
-// cross-shard message the sharded cluster can emit travels one of three
-// edges, all known before Start: a client's (client host → home host) hop
-// at its own network delay, a planned migration's (source → target) hop
-// at the blackout downtime (≥ MigrationDowntime), or a forwarded request
-// on that same (source → target) pair at hopDelay — forwards only chase
-// fired plans, and a plan only fires on the host that laid it. Parallel
-// declarations keep the minimum delay per pair.
-func (c *Sharded) declareTopology() {
-	c.Set.UseDeclaredTopology()
-	min := make(map[[2]int]simtime.Duration)
-	narrow := func(from, to int, l simtime.Duration) {
-		k := [2]int{from, to}
-		if cur, ok := min[k]; !ok || l < cur {
-			min[k] = l
-		}
-	}
-	for _, cl := range c.clients {
-		narrow(cl.Host, int(cl.homeHost), cl.Delay)
-	}
-	for _, p := range c.plans {
-		l := c.hopDelay(p.src, p.dst)
-		if c.Cfg.MigrationDowntime < l {
-			l = c.Cfg.MigrationDowntime
-		}
-		narrow(p.src, p.dst, l)
-	}
-	for k, l := range min {
-		c.Set.SetEdgeLookahead(k[0], k[1], l)
-	}
-}
-
 // Start dispatches every host and releases the initial workload: periodic
 // phases, background jobs, and the remote request streams.
 func (c *Sharded) Start() {
@@ -564,9 +926,6 @@ func (c *Sharded) Start() {
 		panic("cluster: Start called twice")
 	}
 	c.started = true
-	if !c.Cfg.GlobalWindows {
-		c.declareTopology()
-	}
 	for _, h := range c.Hosts {
 		h.Sys.Start()
 	}
@@ -638,7 +997,7 @@ func (a *hostAgent) request(now simtime.Time, ev sim.Payload) {
 	a.Stats.Dropped++
 }
 
-// migrateOut is the stop-and-copy instant on the source host.
+// migrateOut fires a planned migration on the source host.
 func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
 	target := int(ev.Arg0)
@@ -646,16 +1005,32 @@ func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 		a.Stats.SkippedMigrations++
 		return
 	}
-	bw := d.Spec.Bandwidth()
-	downtime := a.c.Cfg.MigrationDowntime +
-		simtime.Duration(float64(a.c.Cfg.MigrationPerBW)*bw)
-	// Tear down on the source: queued jobs are abandoned (visible as
-	// misses), reservations released.
+	a.moveOut(now, d, target, a.c.downtime(d), moveMigration)
+}
+
+// moveOut is the stop-and-copy instant on the source host: the VM goes
+// dark here, late requests are forwarded to target, and the blackout's
+// end travels to target through the mailbox.
+func (a *hostAgent) moveOut(now simtime.Time, d *ShardedDeployment, target int, downtime simtime.Duration, kind int64) {
+	a.evict(d)
+	d.migrating = true
+	d.hostIdx = target
+	a.fwd[d.id] = int32(target)
+	th := a.c.Hosts[target]
+	a.c.Hosts[a.host].Shard.PostRemote(th.Shard, now.Add(downtime),
+		sim.Payload{Handler: th.agent.id, Kind: evAgentMigIn,
+			Owner: d.id, Arg0: int64(downtime), Arg1: kind})
+}
+
+// evict tears the deployment down on this host: queued jobs are abandoned
+// (visible as misses) and reservations released. Controllers die with the
+// guest — their stale window timers no-op once stopped, and the next
+// deploy builds fresh ones.
+func (a *hostAgent) evict(d *ShardedDeployment) {
+	d.reserved = d.guest.AllocatedBandwidth()
 	if err := d.guest.Shutdown(); err != nil {
-		panic(fmt.Sprintf("cluster: migrating %q out of host%d: %v", d.Spec.Name, a.host, err))
+		panic(fmt.Sprintf("cluster: evicting %q from host%d: %v", d.Spec.Name, a.host, err))
 	}
-	// Controllers die with the source guest: their stale window timers
-	// no-op once stopped, and the target deploy builds fresh ones.
 	for _, ct := range d.ctrl {
 		if ct != nil {
 			ct.Stop()
@@ -663,33 +1038,58 @@ func (a *hostAgent) migrateOut(now simtime.Time, ev sim.Payload) {
 	}
 	d.ctrl = nil
 	d.guest = nil
-	d.migrating = true
-	d.hostIdx = target
 	delete(a.resident, d.id)
-	a.fwd[d.id] = int32(target)
-	th := a.c.Hosts[target]
-	a.c.Hosts[a.host].Shard.PostRemote(th.Shard, now.Add(downtime),
-		sim.Payload{Handler: th.agent.id, Kind: evAgentMigIn,
-			Owner: d.id, Arg0: int64(downtime)})
 }
 
 // migrateIn ends the blackout on the target host.
 func (a *hostAgent) migrateIn(now simtime.Time, ev sim.Payload) {
 	d := a.c.deps[ev.Owner]
 	downtime := simtime.Duration(ev.Arg0)
+	if d.hostIdx != a.host {
+		// FailHost re-addressed the VM while its blackout was in flight
+		// toward this host: chase it along this host's forwarding entry
+		// (always a declared edge; d.hostIdx may be several re-addresses
+		// away) with one more network hop, charged to the blackout.
+		to := int(a.fwd[d.id])
+		hop := a.c.hopDelay(a.host, to)
+		th := a.c.Hosts[to]
+		a.c.Hosts[a.host].Shard.PostRemote(th.Shard, now.Add(hop),
+			sim.Payload{Handler: th.agent.id, Kind: evAgentMigIn,
+				Owner: d.id, Arg0: int64(downtime + hop), Arg1: ev.Arg1})
+		return
+	}
 	d.migrating = false
-	d.Migrations++
+	if ev.Arg1 == moveMigration {
+		d.Migrations++
+	}
 	d.BlackoutTotal += downtime
-	if err := a.c.deployGuest(d, a.host); err != nil {
+	// The VM is here now, running or not: a stale forwarding entry from an
+	// earlier stay would bounce its requests around a cycle.
+	delete(a.fwd, d.id)
+	if a.c.Hosts[a.host].failed {
+		// The target crashed mid-blackout and no survivor had room: the
+		// VM stays pending until RestoreHost.
+		return
+	}
+	if err := a.land(now, d); err != nil {
 		// Admission failed on the target (it filled up since planning):
-		// the VM stays dark. Deterministic and visible, like a pending
-		// failover.
+		// the VM stays dark and pending. Deterministic and visible.
 		a.Stats.FailedDeploys++
 		return
 	}
+	if ev.Arg1 == moveFailover {
+		d.Failovers++
+	}
+}
+
+// land deploys d on this host and resumes its tasks at now.
+func (a *hostAgent) land(now simtime.Time, d *ShardedDeployment) error {
+	if err := a.c.deployGuest(d, a.host); err != nil {
+		return err
+	}
 	a.resident[d.id] = struct{}{}
-	delete(a.fwd, d.id)
 	a.c.startTasks(d, now)
+	return nil
 }
 
 // HandleSimEvent implements sim.Handler for the remote client.
@@ -731,15 +1131,25 @@ func (cl *RemoteClient) HandleSimEvent(now simtime.Time, ev sim.Payload) {
 func (c *Sharded) DigestString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d windows=%d now=%d\n", c.Set.EventsFired(), c.Set.Windows(), c.Set.Now())
+	// Failure state appears only once FailHost has been called, so digests
+	// of worlds without crashes stay byte-identical to the old goldens.
 	for i, h := range c.Hosts {
 		st := h.agent.Stats
-		fmt.Fprintf(&b, "host%d events=%d clock=%d alloc=%.6f delivered=%d forwarded=%d dropped=%d throttled=%d skipmig=%d faildeploy=%d\n",
+		fmt.Fprintf(&b, "host%d events=%d clock=%d alloc=%.6f delivered=%d forwarded=%d dropped=%d throttled=%d skipmig=%d faildeploy=%d",
 			i, h.Shard.Sim().EventsFired(), int64(h.Shard.Sim().Now()), h.Sys.AllocatedBandwidth(),
 			st.Delivered, st.Forwarded, st.Dropped, st.Throttled, st.SkippedMigrations, st.FailedDeploys)
+		if h.failed {
+			b.WriteString(" failed")
+		}
+		b.WriteByte('\n')
 	}
 	for _, d := range c.deps {
-		fmt.Fprintf(&b, "vm %s host=%d migs=%d blackout=%d migrating=%v dark=%v\n",
+		fmt.Fprintf(&b, "vm %s host=%d migs=%d blackout=%d migrating=%v dark=%v",
 			d.Spec.Name, d.hostIdx, d.Migrations, int64(d.BlackoutTotal), d.migrating, d.guest == nil)
+		if d.Failovers > 0 {
+			fmt.Fprintf(&b, " failovers=%d", d.Failovers)
+		}
+		b.WriteByte('\n')
 		for i, t := range d.tasks {
 			st := t.Stats()
 			lat := &d.lat[i]

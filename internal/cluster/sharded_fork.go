@@ -9,16 +9,15 @@ import (
 )
 
 // Fork deep-copies the sharded cluster — every host's simulator, the
-// in-flight mailbox messages, every deployment (including mid-migration
-// ones whose guest is torn down and whose completion event sits in the
-// target host's queue), agents' residency/forwarding state, and the
-// remote clients — into an independent replica. Both continuations replay
+// in-flight mailbox messages, every deployment (including mid-migration,
+// mid-failover and pending ones whose guest is torn down), agents'
+// residency/forwarding state, host failure flags, and the remote clients
+// — into an independent replica. Both continuations replay
 // bit-identically under any executor group count.
 func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 	ctx := clone.New()
 	nc := &Sharded{
 		Cfg:        c.Cfg,
-		plans:      append([]migPlan(nil), c.plans...),
 		nextTaskID: c.nextTaskID,
 		started:    c.started,
 		byName:     make(map[string]*ShardedDeployment, len(c.byName)),
@@ -32,10 +31,11 @@ func (c *Sharded) Fork() (*Sharded, *clone.Ctx, error) {
 	nc.Hosts = make([]*ShardHost, len(c.Hosts))
 	for i, h := range c.Hosts {
 		nc.Hosts[i] = &ShardHost{
-			Name:  h.Name,
-			Shard: clone.Get(ctx, h.Shard),
-			Sys:   h.Sys.ForkWith(ctx),
-			agent: clone.Get(ctx, h.agent),
+			Name:   h.Name,
+			Shard:  clone.Get(ctx, h.Shard),
+			Sys:    h.Sys.ForkWith(ctx),
+			agent:  clone.Get(ctx, h.agent),
+			failed: h.failed,
 		}
 	}
 	for _, d := range c.deps {
@@ -111,7 +111,7 @@ func (cl *RemoteClient) ForkHandler(ctx *clone.Ctx) sim.Handler {
 
 // cloneShardedDeployment deep-copies a deployment. Memo-aware: a live
 // guest was already cloned with its host's simulator; a torn-down one
-// (mid-migration) is cloned here so its task statistics survive. Tasks
+// (mid-migration or pending) is cloned here so its task statistics survive. Tasks
 // lose their completion callbacks in task.Clone, so the clone re-wires
 // them onto its own recorders.
 func cloneShardedDeployment(ctx *clone.Ctx, d *ShardedDeployment) *ShardedDeployment {
@@ -123,8 +123,10 @@ func cloneShardedDeployment(ctx *clone.Ctx, d *ShardedDeployment) *ShardedDeploy
 		id:            d.id,
 		hostIdx:       d.hostIdx,
 		Migrations:    d.Migrations,
+		Failovers:     d.Failovers,
 		BlackoutTotal: d.BlackoutTotal,
 		migrating:     d.migrating,
+		reserved:      d.reserved,
 	}
 	ctx.Put(d, nd)
 	if d.guest != nil {

@@ -177,56 +177,6 @@ func TestShardedGroupInvarianceNoisyCosts(t *testing.T) {
 	}
 }
 
-// stripWindowCount removes the window counter from a cluster digest's
-// header line, leaving everything observable about the simulation itself.
-// Per-edge and global windowing legitimately differ only in how many
-// synchronization rounds they took.
-func stripWindowCount(t *testing.T, digest string) string {
-	t.Helper()
-	head, rest, ok := strings.Cut(digest, "\n")
-	if !ok {
-		t.Fatalf("malformed digest %q", digest)
-	}
-	fields := strings.Fields(head)
-	if len(fields) != 3 || !strings.HasPrefix(fields[1], "windows=") {
-		t.Fatalf("malformed digest header %q", head)
-	}
-	return fields[0] + " " + fields[2] + "\n" + rest
-}
-
-// TestShardedPerEdgeVsGlobalWindows runs the same heterogeneous world
-// once windowed on declared per-edge lookaheads (the default) and once on
-// the single global minimum (Cfg.GlobalWindows), and checks the two are
-// identical in every observable except the window count — which the
-// declared topology must cut substantially.
-func TestShardedPerEdgeVsGlobalWindows(t *testing.T) {
-	span := simtime.Millis(300)
-	run := func(global bool) *Sharded {
-		c := buildShardedWith(t, func(cfg *ShardedConfig) {
-			cfg.MigrationDowntime = simtime.Millis(10)
-			cfg.MigrationPerBW = simtime.Millis(5)
-			cfg.GlobalWindows = global
-		}, simtime.Time(0).Add(simtime.Millis(40)))
-		c.Start()
-		c.Run(span, 2)
-		c.Finish()
-		return c
-	}
-	perEdge, global := run(false), run(true)
-	pd, gd := perEdge.DigestString(), global.DigestString()
-	if stripWindowCount(t, pd) != stripWindowCount(t, gd) {
-		t.Errorf("windowing modes diverged beyond the window count:\n--- per-edge ---\n%s--- global ---\n%s", pd, gd)
-	}
-	pw, gw := perEdge.Set.Windows(), global.Set.Windows()
-	// The fixture's ring has one 19µs edge, so the bound still crawls
-	// there; 1.5× is what this topology honestly yields (the big ratios
-	// need genuinely slow links — see BENCH_7).
-	if pw*3 > gw*2 {
-		t.Errorf("per-edge windows %d vs global %d — want at least a 1.5× reduction", pw, gw)
-	}
-	t.Logf("windows: per-edge %d, global %d (%.1fx)", pw, gw, float64(gw)/float64(pw))
-}
-
 // TestShardedMigrationForwarding pins the traffic protocol around a live
 // migration: the source forwards late requests to the VM's new host, the
 // target drops requests that arrive mid-blackout, and the blackout total
@@ -300,8 +250,8 @@ func TestShardedMigrationForwarding(t *testing.T) {
 // TestShardedLinkDelay pins the per-pair link-delay model: forwarded
 // requests pay LinkDelay(src, dst) instead of the global lookahead floor,
 // the run stays deterministic across executor groups, and a LinkDelay
-// returning less than the lookahead panics loudly (at Start, where
-// declareTopology first prices the migration edges).
+// returning less than the lookahead panics loudly (where PlanMigration
+// prices the migration edge).
 func TestShardedLinkDelay(t *testing.T) {
 	build := func(link func(int, int) simtime.Duration) (*Sharded, *ShardedDeployment) {
 		t.Helper()
@@ -388,6 +338,31 @@ func TestShardedConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("conflicting template PCPUs accepted")
 	}
+	// Timing rows: the error must name the offending field.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*ShardedConfig)
+	}{
+		{"MigrationPerBW", func(c *ShardedConfig) { c.MigrationPerBW = -simtime.Millis(20) }},
+		{"RecoveryDelay", func(c *ShardedConfig) { c.RecoveryDelay = good.Lookahead - 1 }},
+		{"RecoveryDelay", func(c *ShardedConfig) { c.RecoveryDelay = 0 }},
+	} {
+		bad = good
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	// A negative MigrationPerBW used to pass Validate and panic inside a
+	// PDES window instead; NewSharded now refuses it up front.
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MigrationPerBW") {
+			t.Errorf("NewSharded with a negative MigrationPerBW: recovered %v", r)
+		}
+	}()
+	bad = good
+	bad.MigrationPerBW = -simtime.Millis(100)
+	NewSharded(bad)
 }
 
 // TestShardedClientValidation covers remote-client admission rules.

@@ -3,6 +3,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,15 +43,10 @@ type Scenario struct {
 //
 // The generic fields fan out: context_switch sets both the warm and cold
 // switch terms, hypercall sets all three hypercall flags. Giving a generic
-// field together with one of its specific counterparts is rejected, as is
-// mixing a legacy *_us field with its replacement.
+// field together with one of its specific counterparts is rejected. The
+// removed scalar fields context_switch_us, migration_us and hypercall_us
+// fail to parse with an error naming their replacement.
 type CostsSpec struct {
-	// Legacy scalar overrides (µs). Deprecated in favour of the CostSpec
-	// fields below, kept so existing scenario JSON parses unchanged.
-	ContextSwitchUS *float64 `json:"context_switch_us,omitempty"`
-	MigrationUS     *float64 `json:"migration_us,omitempty"`
-	HypercallUS     *float64 `json:"hypercall_us,omitempty"`
-
 	// Per-cause terms. ContextSwitch/Hypercall are the generic forms.
 	ContextSwitch     *CostSpec `json:"context_switch,omitempty"`
 	CtxSwitchWarm     *CostSpec `json:"ctx_switch_warm,omitempty"`
@@ -74,6 +70,31 @@ type CostsSpec struct {
 	// the conservative-PDES lookahead bound in sharded cluster runs, and a
 	// zero lookahead admits no parallel window at all.
 	NetworkDelayUS *float64 `json:"network_delay_us,omitempty"`
+}
+
+// removedCosts maps each removed scalar cost field to its replacement.
+var removedCosts = []struct{ old, repl string }{
+	{"context_switch_us", "context_switch"},
+	{"migration_us", "migration"},
+	{"hypercall_us", "hypercall"},
+}
+
+// UnmarshalJSON decodes the costs block strictly (unknown fields are
+// errors) and names the replacement of any removed scalar field.
+func (c *CostsSpec) UnmarshalJSON(b []byte) error {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(b, &keys); err != nil {
+		return err
+	}
+	for _, r := range removedCosts {
+		if _, ok := keys[r.old]; ok {
+			return fmt.Errorf("costs.%s was removed; use costs.%s", r.old, r.repl)
+		}
+	}
+	type plain CostsSpec
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*plain)(c))
 }
 
 // specs names every CostSpec field for validation and application.
@@ -121,14 +142,6 @@ func (c *CostsSpec) validate() error {
 		{c.Hypercall != nil, c.HypercallIncBW != nil, conflict{"hypercall", "hypercall_inc_bw"}},
 		{c.Hypercall != nil, c.HypercallDecBW != nil, conflict{"hypercall", "hypercall_dec_bw"}},
 		{c.Hypercall != nil, c.HypercallIncDecBW != nil, conflict{"hypercall", "hypercall_inc_dec_bw"}},
-		{c.ContextSwitchUS != nil, c.ContextSwitch != nil, conflict{"context_switch_us", "context_switch"}},
-		{c.ContextSwitchUS != nil, c.CtxSwitchWarm != nil, conflict{"context_switch_us", "ctx_switch_warm"}},
-		{c.ContextSwitchUS != nil, c.CtxSwitchCold != nil, conflict{"context_switch_us", "ctx_switch_cold"}},
-		{c.MigrationUS != nil, c.Migration != nil, conflict{"migration_us", "migration"}},
-		{c.HypercallUS != nil, c.Hypercall != nil, conflict{"hypercall_us", "hypercall"}},
-		{c.HypercallUS != nil, c.HypercallIncBW != nil, conflict{"hypercall_us", "hypercall_inc_bw"}},
-		{c.HypercallUS != nil, c.HypercallDecBW != nil, conflict{"hypercall_us", "hypercall_dec_bw"}},
-		{c.HypercallUS != nil, c.HypercallIncDecBW != nil, conflict{"hypercall_us", "hypercall_inc_dec_bw"}},
 	}
 	for _, p := range pairs {
 		if p.gotA && p.gotB {
@@ -152,15 +165,6 @@ func (c *CostsSpec) CostModel() hv.CostModel {
 
 // apply folds the overrides into a cost model.
 func (c *CostsSpec) apply(m *hv.CostModel) {
-	if c.ContextSwitchUS != nil {
-		m.SetContextSwitch(hv.ConstCost(usToDur(*c.ContextSwitchUS)))
-	}
-	if c.MigrationUS != nil {
-		m.Migration = hv.ConstCost(usToDur(*c.MigrationUS))
-	}
-	if c.HypercallUS != nil {
-		m.SetHypercall(hv.ConstCost(usToDur(*c.HypercallUS)))
-	}
 	if c.ContextSwitch != nil {
 		m.SetContextSwitch(c.ContextSwitch.toCost())
 	}
@@ -329,21 +333,6 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("scenario: no VMs")
 	}
 	if sc.Costs != nil {
-		for _, f := range []struct {
-			name  string
-			value *float64
-		}{
-			{"context_switch_us", sc.Costs.ContextSwitchUS},
-			{"migration_us", sc.Costs.MigrationUS},
-			{"hypercall_us", sc.Costs.HypercallUS},
-		} {
-			if f.value == nil {
-				continue
-			}
-			if *f.value < 0 || math.IsNaN(*f.value) || math.IsInf(*f.value, 0) {
-				return fmt.Errorf("scenario: costs.%s invalid (%v)", f.name, *f.value)
-			}
-		}
 		if err := sc.Costs.validate(); err != nil {
 			return err
 		}

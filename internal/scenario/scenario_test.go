@@ -103,18 +103,21 @@ func TestValidate(t *testing.T) {
 		{"negative slack", `{"vms": [{"name": "a", "slack_us": -1}]}`, ""},
 		{"hotplug below vcpus", `{"vms": [{"name": "a", "vcpus": 4, "max_vcpus": 2}]}`, ""},
 		{"negative priority", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "priority": -2}]}]}`, ""},
-		{"negative cost", `{"costs": {"context_switch_us": -1}, "vms": [{"name": "a"}]}`, ""},
+		{"negative cost", `{"costs": {"context_switch": -1}, "vms": [{"name": "a"}]}`, "context_switch"},
 		{"unknown cost field", `{"costs": {"warp_us": 1}, "vms": [{"name": "a"}]}`, ""},
 		{"negative phase", `{"vms": [{"name": "a", "tasks": [{"name": "t", "slice_us": 1, "period_us": 5, "phase_ms": -5}]}]}`, "phase_ms"},
 		{"negative server budget", `{"stack": "rt-xen", "vms": [{"name": "a", "servers": [{"budget_us": -1, "period_us": 10000}]}]}`, "budget_us"},
 		{"negative server period", `{"stack": "rt-xen", "vms": [{"name": "a", "servers": [{"budget_us": 1000, "period_us": -10000}]}]}`, "period_us"},
+		{"removed context_switch_us", `{"costs": {"context_switch_us": 2}, "vms": [{"name": "a"}]}`, "use costs.context_switch"},
+		{"removed migration_us", `{"costs": {"migration_us": 3}, "vms": [{"name": "a"}]}`, "use costs.migration"},
+		{"removed hypercall_us", `{"costs": {"hypercall_us": 10}, "vms": [{"name": "a"}]}`, "use costs.hypercall"},
 	}
 	for _, c := range cases {
+		// A parse-level rejection also counts, and must name the field too.
 		sc, err := Parse(strings.NewReader(c.json))
-		if err != nil {
-			continue // parse-level rejection also counts
+		if err == nil {
+			err = sc.Validate()
 		}
-		err = sc.Validate()
 		if err == nil {
 			t.Errorf("%s: validated", c.name)
 		} else if !strings.Contains(err.Error(), c.field) {
@@ -307,9 +310,9 @@ func TestCostsOverride(t *testing.T) {
 
 	def := run(``)
 	costly := run(`
-  "costs": {"context_switch_us": 200, "hypercall_us": 500},`)
+  "costs": {"context_switch": 200, "hypercall": 500},`)
 	free := run(`
-  "costs": {"context_switch_us": 0, "migration_us": 0, "hypercall_us": 0},`)
+  "costs": {"context_switch": 0, "migration": 0, "hypercall": 0},`)
 
 	if costly.Overhead.Percent <= def.Overhead.Percent {
 		t.Fatalf("inflated costs did not raise overhead: %v <= %v",

@@ -353,6 +353,12 @@ func (s *Scheduler) UpdateVCPU(v *hv.VCPU, res hv.Reservation, now simtime.Time)
 			hv.ErrAdmission, s.rtBandwidth(v, res), s.capacity())
 	}
 	s.emitVerdict(v, res, now, true)
+	if res.Period != v.Res.Period && v.ID < len(s.carry) && v.Res.Period > 0 {
+		// The carry is counted in 1/Period ns: re-express it in the new
+		// period, or a remainder of the old (longer) period would grant
+		// more than the new reservation allows in the next slice.
+		s.carry[v.ID] = s.carry[v.ID] * int64(res.Period) / int64(v.Res.Period)
+	}
 	v.Res = res
 	if s.started {
 		s.replanKick(now)

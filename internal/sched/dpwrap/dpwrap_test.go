@@ -11,6 +11,7 @@ import (
 	"rtvirt/internal/sim"
 	"rtvirt/internal/simtime"
 	"rtvirt/internal/task"
+	"rtvirt/internal/trace"
 )
 
 func ms(n int64) simtime.Duration { return simtime.Millis(n) }
@@ -419,5 +420,66 @@ func TestQuickOptimality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// grantBound checks every slice-quota grant against the receiving VCPU's
+// reservation pro-rated over the slice, with the 1ns floor-division
+// allowance — the bandwidth oracle's DP-WRAP rule.
+type grantBound struct {
+	t     *testing.T
+	h     *hv.Host
+	s     *Scheduler
+	seen  int
+	worst simtime.Duration
+}
+
+func (g *grantBound) Consume(ev trace.Event) {
+	if ev.Kind != trace.Replenish {
+		return
+	}
+	for _, v := range g.h.VCPUs() {
+		if v.VM.Name != ev.VM || v.Index != ev.VCPU {
+			continue
+		}
+		g.seen++
+		start, end := g.s.SliceBounds()
+		limit := int64(end.Sub(start))*int64(v.Res.Budget)/int64(v.Res.Period) + 1
+		if ev.Arg > limit {
+			g.t.Errorf("%s/vcpu%d granted %dns over a %v slice, limit %dns for %v",
+				ev.VM, ev.VCPU, ev.Arg, end.Sub(start), limit, v.Res)
+		}
+	}
+}
+
+// TestPeriodChangeRescalesCarry is the regression test for a grant
+// overshooting its reservation after a period change. The carry is a
+// remainder in units of 1/Period ns; a VM deployed mid-run (a live
+// migration's target) registered a long-period task and then a
+// short-period one within one slice, and the remainder of the old 33ms
+// period, read against the new 5ms one, granted a few ns more than the
+// new reservation allows.
+func TestPeriodChangeRescalesCarry(t *testing.T) {
+	s, h, sched := rig(t, 1, nil)
+	g := newGuest(t, h, "vm0", 1, 0)
+	if err := g.Register(task.New(0, "long", task.Periodic, pp(7, 33))); err != nil {
+		t.Fatal(err)
+	}
+	h.Start()
+	s.RunFor(simtime.Micros(1500))
+	v := h.VCPUs()[0]
+	// The largest remainder the old period admits.
+	sched.carry[v.ID] = int64(v.Res.Period) - 1
+	gb := &grantBound{t: t, h: h, s: sched}
+	h.TraceTo(gb)
+	res := hv.Reservation{Budget: simtime.Micros(2220), Period: ms(5)}
+	if err := sched.UpdateVCPU(v, res, s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if gb.seen == 0 {
+		t.Fatal("the reservation change replanned without a grant")
+	}
+	if c := sched.carry[v.ID]; c < 0 || c >= int64(res.Period) {
+		t.Fatalf("carry %d outside [0, %d) after the period change", c, int64(res.Period))
 	}
 }

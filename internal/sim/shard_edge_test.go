@@ -15,10 +15,10 @@ func pingEdgeLookahead(from, to int) simtime.Duration {
 	return simtime.Micros(19) + simtime.Micros(int64((from*31+to*17)%11)*7)
 }
 
-// buildPingWorldEdges is buildPingWorld with the full heterogeneous edge
-// matrix declared, switching the set to explicit topology. The pinger
-// derives its post delay from EdgeLookahead, so the same handler drives
-// both topologies.
+// buildPingWorldEdges is buildPingWorld with its complete graph
+// redeclared at heterogeneous per-edge lookaheads. The pinger derives its
+// post delay from EdgeLookahead, so the same handler drives both
+// topologies.
 func buildPingWorldEdges(seed uint64, shards int) *pingWorld {
 	w := buildPingWorld(seed, shards)
 	for from := 0; from < shards; from++ {
@@ -70,10 +70,9 @@ func TestSetEdgeLookaheadValidation(t *testing.T) {
 		set.SetEdgeLookahead(1, 1, simtime.Micros(20))
 	})
 
-	// None of the rejected calls may have flipped the set to explicit
-	// topology: the default edge still reports the global lookahead.
-	if got := set.EdgeLookahead(0, 1); got != simtime.Micros(19) {
-		t.Fatalf("EdgeLookahead(0,1) = %v after rejected declarations, want the 19µs global", got)
+	// None of the rejected calls may have declared an edge.
+	if got := set.EdgeLookahead(0, 1); got != 0 {
+		t.Fatalf("EdgeLookahead(0,1) = %v after rejected declarations, want 0 (undeclared)", got)
 	}
 
 	set.SetEdgeLookahead(0, 1, simtime.Micros(40))
@@ -85,9 +84,9 @@ func TestSetEdgeLookaheadValidation(t *testing.T) {
 	if got := set.EdgeLookahead(0, 1); got != simtime.Micros(25) {
 		t.Fatalf("EdgeLookahead(0,1) = %v after redeclaration, want 25µs", got)
 	}
-	// Explicit topology: the undeclared reverse direction is a non-edge.
+	// The undeclared reverse direction is a non-edge.
 	if got := set.EdgeLookahead(1, 0); got != 0 {
-		t.Fatalf("EdgeLookahead(1,0) = %v for an undeclared edge in explicit topology, want 0", got)
+		t.Fatalf("EdgeLookahead(1,0) = %v for an undeclared edge, want 0", got)
 	}
 }
 
@@ -169,6 +168,7 @@ type chainWorld struct {
 
 // buildChainWorld wires A→B→C. With declare, the two edges are the whole
 // topology: A has no inbound walk at all (bound ∞), C has no outbound.
+// Without it, every pair is an edge at the fast global lookahead.
 func buildChainWorld(declare bool) *chainWorld {
 	fast, slow := simtime.Micros(20), simtime.Micros(500)
 	set := NewShardSet(fast) // global floor = the fastest edge
@@ -186,6 +186,8 @@ func buildChainWorld(declare bool) *chainWorld {
 	if declare {
 		set.SetEdgeLookahead(0, 1, fast)
 		set.SetEdgeLookahead(1, 2, slow)
+	} else {
+		declareComplete(set)
 	}
 	sh[0].Sim().PostAt(0, Payload{Handler: w.nodes[0].id, Kind: evChainTick})
 	return w

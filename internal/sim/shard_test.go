@@ -79,12 +79,26 @@ type pingWorld struct {
 	pingers []*pinger
 }
 
+// declareComplete declares every ordered shard pair at the set's global
+// lookahead: the all-to-all topology the ping and chain fixtures run on.
+func declareComplete(set *ShardSet) {
+	n := len(set.Shards())
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from != to {
+				set.SetEdgeLookahead(from, to, set.Lookahead())
+			}
+		}
+	}
+}
+
 func buildPingWorld(seed uint64, shards int) *pingWorld {
 	set := NewShardSet(simtime.Micros(19))
 	w := &pingWorld{set: set}
 	for i := 0; i < shards; i++ {
 		set.NewShard(seed + uint64(i)*0x9e3779b97f4a7c15)
 	}
+	declareComplete(set)
 	for _, sh := range set.Shards() {
 		p := &pinger{sh: sh, peers: set.Shards(), limit: 200, hash: 14695981039346656037}
 		p.id = sh.Sim().RegisterHandler(p)
@@ -155,6 +169,7 @@ func TestPostRemoteLookaheadViolationPanics(t *testing.T) {
 	set := NewShardSet(simtime.Micros(19))
 	a := set.NewShard(1)
 	b := set.NewShard(2)
+	declareComplete(set)
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -351,16 +351,17 @@ func AttachTracer(sys *System, rec *TraceRecorder) {
 	sys.Host.TraceTo(rec)
 }
 
-// Multi-host extension (§6): placement and live migration.
+// Multi-host extension (§6): placement, live migration and failover.
 type (
-	// Cluster is a set of RTVirt hosts under one placement controller.
-	Cluster = cluster.Cluster
+	// Cluster is a set of RTVirt hosts, one simulator each, advanced as a
+	// conservative PDES under one placement controller.
+	Cluster = cluster.Sharded
 	// ClusterConfig describes a cluster.
-	ClusterConfig = cluster.Config
+	ClusterConfig = cluster.ShardedConfig
 	// ClusterHost is one member host.
-	ClusterHost = cluster.Host
+	ClusterHost = cluster.ShardHost
 	// Deployment is a placed VM.
-	Deployment = cluster.Deployment
+	Deployment = cluster.ShardedDeployment
 	// VMSpec describes a deployable VM.
 	VMSpec = cluster.VMSpec
 	// ClusterTaskSpec describes one application of a VM deployment.
@@ -376,11 +377,13 @@ const (
 	WorstFit = cluster.WorstFit
 )
 
-// NewCluster builds a multi-host cluster on one simulated clock.
-func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
+// NewCluster builds a multi-host cluster. Its Run takes an executor
+// group count; every count gives bit-identical results.
+func NewCluster(cfg ClusterConfig) *Cluster { return cluster.NewSharded(cfg) }
 
-// ClusterDefaults returns a 2×4-CPU RTVirt cluster configuration.
-func ClusterDefaults() ClusterConfig { return cluster.DefaultConfig() }
+// ClusterDefaults returns a 4×4-CPU worst-fit RTVirt cluster
+// configuration.
+func ClusterDefaults() ClusterConfig { return cluster.DefaultShardedConfig() }
 
 // Experiments: one driver per table and figure of the paper (§4). See
 // cmd/rtvirt-bench for a CLI over these.

@@ -123,11 +123,11 @@ func TestPublicAPICluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Run(2 * rtvirt.Second)
+	c.Run(2*rtvirt.Second, 1)
 	if _, err := c.Migrate("vm", nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2 * rtvirt.Second)
+	c.Run(2*rtvirt.Second, 2)
 	if d.Migrations != 1 {
 		t.Fatalf("migrations = %d", d.Migrations)
 	}
