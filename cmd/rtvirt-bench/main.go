@@ -7,9 +7,16 @@
 //	rtvirt-bench -experiment all            # everything (several minutes)
 //	rtvirt-bench -experiment fig3           # one experiment
 //	rtvirt-bench -experiment fig5a -seconds 30
+//	rtvirt-bench -experiment attacks -out results/
 //
 // Experiments: fig1, table1, table2, fig3, sporadic, table3, fig4,
-// table4, fig5a, fig5b, table5, table6, attacks, quickcheck, all.
+// table4, fig5a, fig5b, table5, table6, ablations, io, surge, loadsteps,
+// bisect, robustness, fidelity, attacks, quickcheck, all.
+//
+// Machine-readable artifacts (CSV series and JSON records, e.g.
+// fig3.csv, fidelity.json, attacks.json) are written only into the -out
+// directory; without -out the command writes no file and prints to
+// standard output alone.
 //
 // -experiment quickcheck runs the randomized invariant harness
 // (internal/check/quick): -n scenarios per stack, seeded by -seed; any
@@ -34,35 +41,16 @@ var out *report.Dir
 
 func main() {
 	var (
-		exp         = flag.String("experiment", "all", "which experiment to run (fig1, table1, table2, fig3, sporadic, table3, fig4, table4, fig5a, fig5b, table5, table6, ablations, fidelity, attacks, quickcheck, all)")
-		seed        = flag.Uint64("seed", 1, "simulation seed")
-		seconds     = flag.Int64("seconds", 0, "override run length in simulated seconds (0 = per-experiment default)")
-		outDir      = flag.String("out", "", "write machine-readable artifacts (CSV/JSON) to this directory")
-		runs        = flag.Int("runs", 5, "seeds for -experiment robustness")
-		n           = flag.Int("n", 25, "generated scenarios for -experiment quickcheck")
-		parallel    = flag.Int("parallel", 0, "workers for independent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		forkWarmup  = flag.Bool("fork-warmup", false, "benchmark the fig5 warm-start fork sweep against its cold control and exit")
-		forkOut     = flag.String("fork-out", "BENCH_4.json", "output path for the -fork-warmup comparison report")
-		pdes        = flag.Bool("pdes", false, "benchmark the sharded conservative-PDES cluster (executor groups 1/2/4/8, per-edge windows, digest identity enforced) and exit")
-		pdesOut     = flag.String("pdes-out", "BENCH_7.json", "output path for the -pdes lookahead/topology report")
-		pdesHosts   = flag.Int("pdes-hosts", 64, "hosts (= shards) for the -pdes sweep")
-		fidelityOut = flag.String("fidelity-out", "BENCH_8.json", "output path for the -experiment fidelity ablation record")
-		attacksOut  = flag.String("attacks-out", "BENCH_9.json", "output path for the -experiment attacks record")
+		exp      = flag.String("experiment", "all", "which experiment to run (fig1, table1, table2, fig3, sporadic, table3, fig4, table4, fig5a, fig5b, table5, table6, ablations, io, surge, loadsteps, bisect, robustness, fidelity, attacks, quickcheck, all)")
+		seed     = flag.Uint64("seed", 1, "simulation seed")
+		seconds  = flag.Int64("seconds", 0, "override run length in simulated seconds (0 = per-experiment default)")
+		outDir   = flag.String("out", "", "write machine-readable artifacts (CSV/JSON) to this directory")
+		runs     = flag.Int("runs", 5, "seeds for -experiment robustness")
+		n        = flag.Int("n", 25, "generated scenarios for -experiment quickcheck")
+		parallel = flag.Int("parallel", 0, "workers for independent simulations (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 	)
 	flag.Parse()
 	runner.SetDefault(*parallel)
-	if *forkWarmup {
-		runner.SetDefault(1) // sequential: the delta measures the fork, not the pool
-		runForkWarmup(*forkOut)
-		return
-	}
-	if *pdes {
-		// The sharded run brings its own executor pool; the group count
-		// under test is the only parallelism knob.
-		runner.SetDefault(1)
-		runPDES(*pdesOut, *pdesHosts, *seconds)
-		return
-	}
 	if *outDir != "" {
 		d, err := report.NewDir(*outDir)
 		if err != nil {
@@ -95,8 +83,8 @@ func main() {
 		"loadsteps":  func() { runLoadSteps(*seed, *seconds) },
 		"bisect":     func() { runBisect(*seed, *seconds) },
 		"robustness": func() { runRobustness(*runs, *seconds) },
-		"fidelity":   func() { runFidelity(*seed, *seconds, *parallel, *fidelityOut) },
-		"attacks":    func() { runAttacks(*seed, *seconds, *attacksOut) },
+		"fidelity":   func() { runFidelity(*seed, *seconds, *parallel) },
+		"attacks":    func() { runAttacks(*seed, *seconds) },
 		"quickcheck": func() { runQuickcheck(*seed, *n, *seconds) },
 	}
 	order := []string{"fig1", "table1", "table2", "fig3", "sporadic", "table3",
@@ -360,4 +348,42 @@ func runTable6(seed uint64, secs int64) {
 	}
 	fmt.Println(rtvirt.RenderTable6(multi))
 	fmt.Println(rtvirt.RenderTable6(single))
+}
+
+// runFidelity runs the constant-vs-calibrated cost-model ablation: the
+// same Figure-3 and Table-6 scheduler comparisons under the paper's flat
+// §4 constants and under the distribution-valued calibrated model, with a
+// per-row verdict on whether the winner survives the cost noise. With
+// -out the record is written as fidelity.json.
+func runFidelity(seed uint64, secs int64, parallel int) {
+	cfg := rtvirt.DefaultFidelityConfig()
+	cfg.Seed = seed
+	cfg.Duration = secondsOr(secs, cfg.Duration)
+	cfg.Parallel = parallel
+	res := rtvirt.FidelityAblation(cfg)
+	fmt.Println(rtvirt.RenderFidelity(res))
+	if out != nil {
+		if err := out.JSON("fidelity.json", &res); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// runAttacks runs the adversarial suite: the tick-evasion attacker's
+// obtained/charged/stolen bandwidth under every scheduler stack — the
+// exact-accounting schedulers against the deliberately-naive tick-sampled
+// Credit double — plus the adaptive controller's convergence trace and
+// rejection-backoff counters. With -out the record is written as
+// attacks.json.
+func runAttacks(seed uint64, secs int64) {
+	cfg := rtvirt.DefaultAttackConfig()
+	cfg.Seed = seed
+	cfg.Duration = secondsOr(secs, cfg.Duration)
+	res := rtvirt.Attacks(cfg)
+	fmt.Println(rtvirt.RenderAttacks(res))
+	if out != nil {
+		if err := out.JSON("attacks.json", &res); err != nil {
+			log.Fatal(err)
+		}
+	}
 }

@@ -87,7 +87,12 @@ type shardedRun struct {
 
 func runSharded(t *testing.T, groups int, span simtime.Duration) shardedRun {
 	t.Helper()
-	c := buildSharded(t)
+	return runShardedWorld(buildSharded(t), groups, span)
+}
+
+// runShardedWorld advances c over span with the given executor group
+// count, tracing every host's dispatch stream into its own digest.
+func runShardedWorld(c *Sharded, groups int, span simtime.Duration) shardedRun {
 	digs := make([]*check.DispatchDigest, len(c.Hosts))
 	for i, h := range c.Hosts {
 		digs[i] = check.NewDispatchDigest()
@@ -142,6 +147,131 @@ func TestShardedGroupInvariance(t *testing.T) {
 			}
 		}
 	})
+}
+
+// rackSize groups the rack world's hosts; a client's link delay to a
+// cache depends only on how many racks lie between them.
+const rackSize = 8
+
+func rackLinkDelay(src, dst int) simtime.Duration {
+	switch d := src/rackSize - dst/rackSize; {
+	case d == 0:
+		return simtime.Micros(120)
+	case d == 1 || d == -1:
+		return simtime.Micros(180)
+	default:
+		return simtime.Micros(260)
+	}
+}
+
+// buildRackWorld assembles the memcached-style rack cluster: every host
+// serves two cache VMs (a sporadic memc server, a periodic RT task and a
+// background hog) whose servers are fed by clients on the next two hosts
+// at the rack-distance link delay, and eight planned migrations ripple
+// through the first hosts.
+func buildRackWorld(t *testing.T, hosts int) (*Sharded, []*RemoteClient) {
+	t.Helper()
+	cfg := DefaultShardedConfig()
+	cfg.Hosts = hosts
+	cfg.PCPUs = 4
+	cfg.Seed = 1
+	cfg.LinkDelay = rackLinkDelay
+	c := NewSharded(cfg)
+	var clients []*RemoteClient
+	for h := 0; h < hosts; h++ {
+		for v := 0; v < 2; v++ {
+			spec := VMSpec{
+				Name:  fmt.Sprintf("cache%d-%d", h, v),
+				VCPUs: 2,
+				Tasks: []TaskSpec{
+					{Name: "memc", Kind: task.Sporadic,
+						Params: task.Params{Slice: simtime.Micros(60), Period: simtime.Micros(200)}},
+					{Name: "rt", Kind: task.Periodic,
+						Params: task.Params{Slice: simtime.Micros(300), Period: simtime.Millis(5)},
+						Phase:  simtime.Micros(int64(37 * (h + v)))},
+					{Name: "bg", Kind: task.Background},
+				},
+			}
+			d, err := c.Deploy(h, spec)
+			if err != nil {
+				t.Fatalf("deploy %s: %v", spec.Name, err)
+			}
+			for _, src := range []int{(h + 1) % hosts, (h + 2) % hosts} {
+				cl, err := c.AddRemoteClient(src, d, 0, rackLinkDelay(src, h),
+					dist.Uniform{Lo: simtime.Micros(150), Hi: simtime.Micros(500)},
+					dist.Uniform{Lo: simtime.Micros(20), Hi: simtime.Micros(80)}, 0)
+				if err != nil {
+					t.Fatalf("client for %s: %v", spec.Name, err)
+				}
+				clients = append(clients, cl)
+			}
+		}
+	}
+	for k := 0; k < 8; k++ {
+		d, _ := c.Lookup(fmt.Sprintf("cache%d-0", k))
+		at := simtime.Time(0).Add(simtime.Millis(int64(100 * (k + 1))))
+		if err := c.PlanMigration(at, d, (k+1)%hosts); err != nil {
+			t.Fatalf("plan migration %d: %v", k, err)
+		}
+	}
+	return c, clients
+}
+
+// TestShardedRackTopologyGroupIdentity runs the rack world at 24 hosts —
+// three racks, so same-, adjacent- and distant-rack edges all carry
+// traffic — for one simulated second under 1, 2, 4 and 8 executor
+// groups. Every group count must produce a byte-identical cluster digest
+// and identical per-host dispatch streams, and the world's size is
+// pinned so a change to the conservative window protocol or to the
+// world itself shows up as a count change rather than passing silently.
+func TestShardedRackTopologyGroupIdentity(t *testing.T) {
+	const hosts = 24
+	run := func(groups int) (shardedRun, []*RemoteClient) {
+		c, clients := buildRackWorld(t, hosts)
+		return runShardedWorld(c, groups, simtime.Second), clients
+	}
+
+	base, clients := run(1)
+	delays := map[simtime.Duration]bool{}
+	var requests uint64
+	for _, cl := range clients {
+		delays[cl.Delay] = true
+		requests += uint64(cl.Sent())
+	}
+	if len(delays) != 3 {
+		t.Fatalf("want clients on all three rack distances, got link delays %v", delays)
+	}
+	var migrations int
+	for _, d := range base.c.Deployments() {
+		migrations += d.Migrations
+	}
+	for _, pin := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"windows", base.c.Set.Windows(), 7982},
+		{"events", base.c.Set.EventsFired(), 914199},
+		{"requests", requests, 295784},
+		{"migrations", uint64(migrations), 8},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s = %d, want %d", pin.name, pin.got, pin.want)
+		}
+	}
+
+	for _, g := range []int{2, 4, 8} {
+		got, _ := run(g)
+		if got.digest != base.digest {
+			t.Errorf("groups=%d digest differs from sequential:\n--- groups=1 ---\n%s--- groups=%d ---\n%s",
+				g, base.digest, g, got.digest)
+		}
+		for i := range got.disp {
+			if got.disp[i] != base.disp[i] {
+				t.Errorf("groups=%d host%d dispatch digest %016x != sequential %016x",
+					g, i, got.disp[i], base.disp[i])
+			}
+		}
+	}
 }
 
 // TestShardedGroupInvarianceNoisyCosts re-runs the group-invariance

@@ -177,13 +177,14 @@ func TestForkDeterminismGolden(t *testing.T) {
 }
 
 // TestLoadStepsForkMatchesCold pins that the warm-start Figure-5 sweep is
-// bit-identical to the cold control that replays the prefix per arm.
+// bit-identical to the cold control that replays the prefix per arm. The
+// steps include the paper's 19-hog Figure-5a point.
 func TestLoadStepsForkMatchesCold(t *testing.T) {
 	cfg := LoadStepConfig{
 		Seed:     2,
 		Warmup:   2 * simtime.Second,
 		Duration: 3 * simtime.Second,
-		Steps:    []int{0, 3},
+		Steps:    []int{0, 3, 19},
 	}
 	forked := Figure5LoadSteps(cfg)
 	cfg.Cold = true
@@ -191,13 +192,22 @@ func TestLoadStepsForkMatchesCold(t *testing.T) {
 	if !reflect.DeepEqual(forked, cold) {
 		t.Fatalf("forked sweep diverges from cold sweep:\n fork: %+v\n cold: %+v", forked, cold)
 	}
-	if len(forked) != 2*len(Arms()) {
-		t.Fatalf("expected %d rows, got %d", 2*len(Arms()), len(forked))
+	if want := len(cfg.Steps) * len(Arms()); len(forked) != want {
+		t.Fatalf("expected %d rows, got %d", want, len(forked))
 	}
 	for _, r := range forked {
 		if r.Requests == 0 {
 			t.Fatalf("row %+v recorded no requests", r)
 		}
+	}
+	// The 19-hog step must contend: some arm's tail grows over its
+	// uncontended row (rows run step by step within each arm).
+	n, contended := len(cfg.Steps), false
+	for i := 0; i < len(forked); i += n {
+		contended = contended || forked[i+n-1].P999 > forked[i].P999
+	}
+	if !contended {
+		t.Fatal("19 hogs left every arm's tail unchanged; the sweep does not load the world")
 	}
 }
 

@@ -9,17 +9,9 @@ func (l *LatencyRecorder) Clone() LatencyRecorder {
 	n := LatencyRecorder{
 		sorted: l.sorted,
 		sum:    l.sum,
-		count:  l.count,
-		max:    l.max,
 	}
 	if l.samples != nil {
 		n.samples = append([]simtime.Duration(nil), l.samples...)
-	}
-	if l.est != nil {
-		n.est = make([]*P2Quantile, len(l.est))
-		for i, e := range l.est {
-			n.est[i] = e.Clone()
-		}
 	}
 	return n
 }

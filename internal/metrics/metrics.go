@@ -11,59 +11,17 @@ import (
 	"rtvirt/internal/simtime"
 )
 
-// StreamingPercentiles are the quantiles a streaming-mode LatencyRecorder
-// tracks (the tails the evaluation reports: Table 4 and Figure 5).
-var StreamingPercentiles = [4]float64{90, 95, 99, 99.9}
-
 // LatencyRecorder stores every sample so percentiles are exact, matching
 // how the paper measures NIC-to-NIC latency distributions.
-//
-// For runs too long to retain every sample, EnableStreaming switches the
-// recorder to O(1) memory: percentiles come from P² estimators at the
-// StreamingPercentiles, mean/max/count stay exact, and the sample-set
-// operations (CDF, Merge, arbitrary percentiles) become unavailable.
 type LatencyRecorder struct {
 	samples []simtime.Duration
 	sorted  bool
 	sum     simtime.Duration
-
-	// Streaming-mode state; est is non-nil iff streaming is enabled.
-	est   []*P2Quantile
-	count int
-	max   simtime.Duration
 }
-
-// EnableStreaming switches the recorder to constant-memory P² estimation.
-// It must be called before the first sample; it panics otherwise.
-func (l *LatencyRecorder) EnableStreaming() {
-	if l.est != nil {
-		return
-	}
-	if len(l.samples) > 0 {
-		panic("metrics: EnableStreaming after samples were recorded")
-	}
-	l.est = make([]*P2Quantile, len(StreamingPercentiles))
-	for i, p := range StreamingPercentiles {
-		l.est[i] = NewP2Quantile(p / 100)
-	}
-}
-
-// Streaming reports whether the recorder is in streaming mode.
-func (l *LatencyRecorder) Streaming() bool { return l.est != nil }
 
 // Add records one latency sample.
 func (l *LatencyRecorder) Add(d simtime.Duration) {
 	l.sum += d
-	if l.est != nil {
-		l.count++
-		if d > l.max {
-			l.max = d
-		}
-		for _, e := range l.est {
-			e.Add(d)
-		}
-		return
-	}
 	// Keep the sorted flag when samples arrive in non-decreasing order, so
 	// a later Merge of time-ordered recorders can skip the re-sort.
 	if len(l.samples) == 0 {
@@ -74,26 +32,11 @@ func (l *LatencyRecorder) Add(d simtime.Duration) {
 	l.samples = append(l.samples, d)
 }
 
-// Reserve preallocates capacity for n further samples, for workloads whose
-// request count is known up front. A no-op in streaming mode.
-func (l *LatencyRecorder) Reserve(n int) {
-	if l.est != nil || n <= 0 || cap(l.samples)-len(l.samples) >= n {
-		return
-	}
-	grown := make([]simtime.Duration, len(l.samples), len(l.samples)+n)
-	copy(grown, l.samples)
-	l.samples = grown
-}
-
 // Merge appends all samples from other. When both recorders are already
 // sorted and every sample in other is at or above l's current maximum (the
 // common shard-by-time case), the merged recorder stays sorted and the
-// next percentile query skips the re-sort. Streaming recorders cannot be
-// merged (P² states do not compose); Merge panics on either side.
+// next percentile query skips the re-sort.
 func (l *LatencyRecorder) Merge(other *LatencyRecorder) {
-	if l.est != nil || other.est != nil {
-		panic("metrics: Merge on streaming LatencyRecorder")
-	}
 	if len(other.samples) == 0 {
 		return
 	}
@@ -109,12 +52,7 @@ func (l *LatencyRecorder) Merge(other *LatencyRecorder) {
 func (l *LatencyRecorder) isSorted() bool { return l.sorted || len(l.samples) <= 1 }
 
 // Count reports the number of samples.
-func (l *LatencyRecorder) Count() int {
-	if l.est != nil {
-		return l.count
-	}
-	return len(l.samples)
-}
+func (l *LatencyRecorder) Count() int { return len(l.samples) }
 
 // Mean reports the mean latency, or 0 with no samples.
 func (l *LatencyRecorder) Mean() simtime.Duration {
@@ -127,9 +65,6 @@ func (l *LatencyRecorder) Mean() simtime.Duration {
 
 // Max reports the largest sample, or 0 with no samples.
 func (l *LatencyRecorder) Max() simtime.Duration {
-	if l.est != nil {
-		return l.max
-	}
 	l.sort()
 	if len(l.samples) == 0 {
 		return 0
@@ -138,20 +73,10 @@ func (l *LatencyRecorder) Max() simtime.Duration {
 }
 
 // Percentile reports the p-th percentile (0 < p ≤ 100) using the
-// nearest-rank method, so the result is always an observed sample. In
-// streaming mode only the StreamingPercentiles are available (estimated,
-// not exact); any other p panics.
+// nearest-rank method, so the result is always an observed sample.
 func (l *LatencyRecorder) Percentile(p float64) simtime.Duration {
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("metrics: percentile %g out of (0,100]", p))
-	}
-	if l.est != nil {
-		for i, sp := range StreamingPercentiles {
-			if p == sp {
-				return l.est[i].Value()
-			}
-		}
-		panic(fmt.Sprintf("metrics: percentile %g not tracked in streaming mode (have %v)", p, StreamingPercentiles))
 	}
 	if len(l.samples) == 0 {
 		return 0
@@ -168,12 +93,8 @@ func (l *LatencyRecorder) Percentile(p float64) simtime.Duration {
 }
 
 // CDF returns (latency, cumulative fraction) pairs at every distinct
-// sample value, suitable for plotting Figure 5 style curves. Unavailable
-// in streaming mode (the samples are gone).
+// sample value, suitable for plotting Figure 5 style curves.
 func (l *LatencyRecorder) CDF() []CDFPoint {
-	if l.est != nil {
-		panic("metrics: CDF requires exact samples; recorder is in streaming mode")
-	}
 	l.sort()
 	n := len(l.samples)
 	if n == 0 {

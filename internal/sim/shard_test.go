@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,6 +147,59 @@ func TestShardSetGroupInvariance(t *testing.T) {
 		}
 		if w.set.Windows() != ref.set.Windows() {
 			t.Errorf("groups=%d window count %d != sequential %d", groups, w.set.Windows(), ref.set.Windows())
+		}
+	}
+}
+
+// burster sends three same-instant messages to shard 0 on its tick; on
+// shard 0 it logs the order those messages fire in.
+type burster struct {
+	sh, dst *Shard
+	log     *[]int64
+}
+
+func (b *burster) HandleSimEvent(now simtime.Time, ev Payload) {
+	switch ev.Kind {
+	case evPingTick:
+		for k := int64(0); k < 3; k++ {
+			b.sh.PostRemote(b.dst, now.Add(b.sh.set.Lookahead()), Payload{
+				Handler: 0, Kind: evPingPong, Arg0: 10*int64(b.sh.ID()) + k,
+			})
+		}
+	case evPingPong:
+		*b.log = append(*b.log, ev.Arg0)
+	}
+}
+
+func (b *burster) ForkHandler(*clone.Ctx) Handler { panic("burster: not forkable") }
+
+// TestShardMailboxTieOrder pins the delivery order of messages that reach
+// one shard at the same instant: they fire in msgLess order (sender, then
+// per-edge emission order) under every executor group count. Random
+// timestamps almost never tie, so the other goldens cannot see an
+// executor that hands its batch over out of order.
+func TestShardMailboxTieOrder(t *testing.T) {
+	run := func(groups int) []int64 {
+		set := NewShardSet(simtime.Micros(19))
+		for i := 0; i < 5; i++ {
+			set.NewShard(uint64(i + 1))
+		}
+		declareComplete(set)
+		var log []int64
+		for _, sh := range set.Shards() {
+			b := &burster{sh: sh, dst: set.Shards()[0], log: &log}
+			id := sh.Sim().RegisterHandler(b)
+			if sh.ID() != 0 {
+				sh.Sim().PostAt(0, Payload{Handler: id, Kind: evPingTick})
+			}
+		}
+		set.RunUntil(simtime.Time(simtime.Millis(1)), groups)
+		return log
+	}
+	want := []int64{10, 11, 12, 20, 21, 22, 30, 31, 32, 40, 41, 42}
+	for _, groups := range []int{1, 2, 3, 4} {
+		if got := run(groups); !slices.Equal(got, want) {
+			t.Errorf("groups=%d fired same-instant messages in order %v, want %v", groups, got, want)
 		}
 	}
 }
